@@ -26,6 +26,7 @@ from ..datasets.dataset import Dataset
 from ..errors import TrainingError
 from ..histogram.binned import BinnedShard
 from ..ps.master import WorkerPhase
+from ..runtime.build import resolve_build_strategy
 from ..runtime.hooks import CallbackList, HistoryCollector, TrainerCallback
 from ..runtime.loop import BoostingLoop, TreeGrowthStrategy, sample_features
 from ..runtime.phases import PhaseRunner
@@ -111,7 +112,13 @@ class _SingleProcessStrategy(TreeGrowthStrategy):
 
     def grow(self, tree_index: int, gradients, feature_valid):
         grad, hess = gradients
-        return self.grower.grow(grad, hess, feature_valid=feature_valid)
+        if isinstance(self.grower, LayerwiseGrower):
+            # The layer loop reports its stages on this fit's runner.
+            return self.grower.grow(
+                grad, hess, feature_valid, runner=self.runner, tree_index=tree_index
+            )
+        # Leaf-wise growth runs its own heap loop, with no layer stages.
+        return self.grower.grow(grad, hess, feature_valid)
 
     def update_scores(self, tree_index: int, grown) -> None:
         # Training predictions come free from the leaf assignment.
@@ -169,16 +176,12 @@ class GBDT:
 
     Attributes:
         config: Hyper-parameters.
-        sparse_build: Histogram builder choice (Algorithm 2 vs dense).
-        use_index: Node-to-instance index on/off (ablation hook).
         subtraction: Derive sibling histograms as parent minus child
             (extension; halves per-layer build work).
         history: Per-round telemetry, populated by :meth:`fit`.
     """
 
     config: TrainConfig = field(default_factory=TrainConfig)
-    sparse_build: bool = True
-    use_index: bool = True
     subtraction: bool = False
     leaf_wise: bool = False
     max_leaves: int | None = None
@@ -220,20 +223,24 @@ class GBDT:
         if candidates is None:
             candidates = propose_candidates(train.X, config.n_split_candidates)
         shard = BinnedShard(train.X, candidates)
+        build_strategy = resolve_build_strategy(config, sparse=True)
         if self.leaf_wise:
             from ..tree.bestfirst import BestFirstGrower
 
             grower: LayerwiseGrower | BestFirstGrower = BestFirstGrower(
-                shard, candidates, config, max_leaves=self.max_leaves
+                shard,
+                candidates,
+                config,
+                max_leaves=self.max_leaves,
+                build_strategy=build_strategy,
             )
         else:
             grower = LayerwiseGrower(
                 shard,
                 candidates,
                 config,
-                sparse_build=self.sparse_build,
-                use_index=self.use_index,
                 subtraction=self.subtraction,
+                build_strategy=build_strategy,
             )
 
         base = loss.base_score(train.y, train.weights)
@@ -262,11 +269,9 @@ class GBDT:
         try:
             grown_units = BoostingLoop(strategy, config, callbacks=hooks).run()
         finally:
-            # The grower resolved its own build strategy above, so this
-            # fit releases its resources (process pools, shared memory).
-            build_strategy = getattr(grower, "build_strategy", None)
-            if build_strategy is not None:
-                build_strategy.close()
+            # This fit resolved the build strategy, so it releases its
+            # resources (process pools, shared memory).
+            build_strategy.close()
 
         model = GBDTModel(
             trees=[grown.tree for grown in grown_units],

@@ -267,7 +267,13 @@ class _MulticlassStrategy(TreeGrowthStrategy):
     def grow(self, tree_index: int, gradients, feature_valid) -> list:
         grad, hess = gradients
         return [
-            self.grower.grow(grad[:, k], hess[:, k], feature_valid=feature_valid)
+            self.grower.grow(
+                grad[:, k],
+                hess[:, k],
+                feature_valid=feature_valid,
+                runner=self.runner,
+                tree_index=tree_index,
+            )
             for k in range(self.loss.n_classes)
         ]
 

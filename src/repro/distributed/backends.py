@@ -120,11 +120,6 @@ class AggregationBackend(ABC):
         self.flat_bytes = self.flat_len * 4
         self._tree_index = -1
 
-    @property
-    def dense_build(self) -> bool:
-        """Back-compat boolean view of :attr:`build_mode`."""
-        return self.build_mode == "dense"
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------

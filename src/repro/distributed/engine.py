@@ -65,7 +65,12 @@ from ..runtime.hooks import (
     TrainerCallback,
 )
 from ..runtime.loop import BoostingLoop, TreeGrowthStrategy
-from ..runtime.phases import PhaseRunner, StalenessLanes, scale_by_speeds
+from ..runtime.phases import (
+    PhaseRunner,
+    PhaseStage,
+    StalenessLanes,
+    scale_by_speeds,
+)
 from ..sketch.candidates import (
     CandidateSet,
     propose_candidates,
@@ -78,7 +83,8 @@ from ..sketch.quantile import (
     sketch_columns,
     sketch_columns_weighted,
 )
-from ..tree.split import leaf_weight
+from ..tree.grower import LayerStep, grow_layerwise
+from ..tree.split import SplitDecision
 from ..tree.tree import RegressionTree
 from ..utils.timing import Stopwatch, TimeBreakdown
 from .backends import (
@@ -134,14 +140,16 @@ class DistributedResult:
         return self.breakdown.total
 
 
-class _ShardedGrowthStrategy(TreeGrowthStrategy):
-    """The distributed per-round operations behind the shared loop.
+class _ShardedGrowthStrategy(TreeGrowthStrategy, LayerStep):
+    """The distributed per-round operations behind the shared loops.
 
     Holds the per-block shard state (binned rows) and the per-grid-row
-    training state (labels, raw scores, node indexes) and executes each
-    phase of the Section 4.4 cycle inside a
-    :class:`~repro.runtime.phases.PhaseStage`, delegating histogram
-    aggregation and split finding to the system's backend.
+    training state (labels, raw scores, node indexes).  It is the
+    boosting loop's per-round strategy and, for each tree, the layer
+    loop's :class:`~repro.tree.grower.LayerStep`: every phase of the
+    Section 4.4 cycle runs inside a
+    :class:`~repro.runtime.phases.PhaseStage`, with histogram
+    aggregation and split finding delegated to the system's backend.
 
     The worker layout is an R×C grid (``grid``): worker ``r * C + c``
     holds row band ``r`` × feature stripe ``c``.  With ``C == 1`` — the
@@ -254,140 +262,92 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
         return grads, hesses
 
     def grow(self, tree_index: int, gradients, feature_valid) -> RegressionTree:
-        grads, hesses = gradients
-        config = self.config
-        runner = self.runner
-        grid_rows, grid_cols = self.grid
-        tree = RegressionTree(config.max_depth)
+        self._grads, self._hesses = gradients
         # One node-to-instance index per grid row: the C blocks of a row
         # band hold the same instances, so they share its index.
-        indexes = [
-            NodeInstanceIndex(len(self.raws[r]), config.max_nodes)
-            for r in range(grid_rows)
+        self.indexes = [
+            NodeInstanceIndex(len(raw), self.config.max_nodes) for raw in self.raws
         ]
-        node_totals: dict[int, tuple[float, float]] = {0: self._root_totals}
-
-        active = [0]
-        eta = config.learning_rate
-        for depth in range(1, config.max_depth + 1):
-            if not active:
-                break
-            if depth == config.max_depth:
-                for node in active:
-                    g, h = node_totals[node]
-                    tree.set_leaf(
-                        node,
-                        eta * leaf_weight(g, h, config.reg_lambda),
-                        cover=float(h),
-                    )
-                active = []
-                break
-
-            # BUILD_HISTOGRAM for the whole layer.  The aggregation's wire
-            # cost is charged by the backend under FIND_SPLIT (the paper
-            # accounts aggregation as part of split finding).
-            with runner.stage(WorkerPhase.BUILD_HISTOGRAM, tree_index) as stage:
-                timer = stage.worker_timer()
-                for node in active:
-                    if grid_cols == 1:
-                        flats = self._build_node_histograms(
-                            indexes, grads, hesses, node, timer
-                        )
-                        self.backend.aggregate_node(node, flats, self.clock)
-                    else:
-                        slabs = self._build_node_slabs(
-                            indexes, grads, hesses, node, timer
-                        )
-                        self.backend.aggregate_node_slabs(
-                            node, slabs, self.clock
-                        )
-                self._barrier_faults(timer)
-                stage.barrier(timer)
-
-            with runner.stage(WorkerPhase.FIND_SPLIT, tree_index):
-                decisions = self.backend.find_splits(
-                    active, feature_valid, self.clock
-                )
-                self._barrier_faults()
-
-            with runner.stage(WorkerPhase.SPLIT_TREE, tree_index) as stage:
-                timer = stage.worker_timer()
-                next_active: list[int] = []
-                broadcast_seconds = 0.0
-                for node in active:
-                    decision = decisions.get(node)
-                    if decision is None or decision.gain <= config.min_split_gain:
-                        g, h = node_totals[node]
-                        tree.set_leaf(
-                            node,
-                            eta * leaf_weight(g, h, config.reg_lambda),
-                            cover=float(h),
-                        )
-                        continue
-                    left, right = tree.set_split(
-                        node,
-                        decision.feature,
-                        decision.value,
-                        gain=decision.gain,
-                        cover=decision.total_hess,
-                    )
-                    node_totals[left] = (decision.left_grad, decision.left_hess)
-                    node_totals[right] = (decision.right_grad, decision.right_hess)
-                    # Only the stripe owning the split feature can evaluate
-                    # the predicate; with C > 1 its blocks broadcast the
-                    # go-left bitmaps to their row peers (grid rows move in
-                    # parallel, so the slowest row's bitmap is charged).
-                    owner_col = (
-                        int(
-                            np.searchsorted(
-                                self.col_boundaries,
-                                decision.feature,
-                                side="right",
-                            )
-                        )
-                        - 1
-                    )
-                    local_feature = decision.feature - int(
-                        self.col_boundaries[owner_col]
-                    )
-                    max_rows = 0
-                    for r in range(grid_rows):
-                        wid = r * grid_cols + owner_col
-                        rows = indexes[r].rows_of(node)
-                        max_rows = max(max_rows, len(rows))
-                        with timer.measure(wid):
-                            goes_left = self.shards[wid].split_mask(
-                                rows, local_feature, decision.bucket
-                            )
-                            indexes[r].split(node, goes_left)
-                    if grid_cols > 1:
-                        broadcast_seconds += (
-                            grid_cols - 1
-                        ) * point_to_point_time((max_rows + 7) // 8, self.cost)
-                    next_active.extend((left, right))
-                self._barrier_faults(timer)
-                stage.barrier(timer)
-                if broadcast_seconds:
-                    stage.charge_comm(broadcast_seconds)
-            if runner.lanes is not None:
-                # One tree layer finished: bounded staleness syncs the
-                # deferred barrier lanes every S + 1 layers.
-                runner.lanes.layer_boundary(self.clock)
-            # Roll the per-layer speed jitter regardless of staleness so
-            # sync and async runs draw from the same factor stream.
-            self.clock.next_layer()
-            active = next_active
-
+        self._node_totals = {0: self._root_totals}
         # Leaf assignment per grid row from its index (free predictions).
-        self._leaf_assignments = []
-        for r in range(grid_rows):
-            assignment = np.zeros(len(self.raws[r]), dtype=np.int64)
-            for node in range(tree.max_nodes):
-                if tree.is_leaf(node) and indexes[r].has_node(node):
-                    assignment[indexes[r].rows_of(node)] = node
-            self._leaf_assignments.append(assignment)
+        tree, self._leaf_assignments = grow_layerwise(
+            self, self.config, self.runner, tree_index, feature_valid
+        )
         self.backend.end_tree(self.clock)
         return tree
+
+    # ------------------------------------------------------------------
+    # LayerStep
+    # ------------------------------------------------------------------
+
+    def build_histograms(self, active: list[int], stage: PhaseStage) -> None:
+        # The aggregation's wire cost is charged by the backend under
+        # FIND_SPLIT (the paper accounts aggregation as part of split
+        # finding).
+        timer = stage.worker_timer()
+        for node in active:
+            if self.grid[1] == 1:
+                flats = self._build_node_histograms(node, timer)
+                self.backend.aggregate_node(node, flats, self.clock)
+            else:
+                slabs = self._build_node_slabs(node, timer)
+                self.backend.aggregate_node_slabs(node, slabs, self.clock)
+        self._barrier_faults(timer)
+        stage.barrier(timer)
+
+    def find_splits(
+        self, active: list[int], feature_valid: np.ndarray | None
+    ) -> dict[int, SplitDecision | None]:
+        decisions = self.backend.find_splits(active, feature_valid, self.clock)
+        self._barrier_faults()
+        return decisions
+
+    def split_nodes(
+        self, splits: list[tuple[int, SplitDecision]], stage: PhaseStage
+    ) -> None:
+        grid_cols = self.grid[1]
+        boundaries = self.col_boundaries
+        timer = stage.worker_timer()
+        broadcast_seconds = 0.0
+        for node, decision in splits:
+            # Only the stripe owning the split feature can evaluate the
+            # predicate; with C > 1 its blocks broadcast the go-left
+            # bitmaps to their row peers (grid rows move in parallel, so
+            # the slowest row's bitmap is charged).
+            owner_col = int(np.searchsorted(boundaries, decision.feature, "right")) - 1
+            local_feature = decision.feature - int(boundaries[owner_col])
+            max_rows = 0
+            for r, index in enumerate(self.indexes):
+                wid = r * grid_cols + owner_col
+                rows = index.rows_of(node)
+                max_rows = max(max_rows, len(rows))
+                with timer.measure(wid):
+                    goes_left = self.shards[wid].split_mask(
+                        rows, local_feature, decision.bucket
+                    )
+                    left, right = index.split(node, goes_left)
+            if grid_cols > 1:
+                broadcast_seconds += (grid_cols - 1) * point_to_point_time(
+                    (max_rows + 7) // 8, self.cost
+                )
+            self._node_totals[left] = (decision.left_grad, decision.left_hess)
+            self._node_totals[right] = (decision.right_grad, decision.right_hess)
+        self._barrier_faults(timer)
+        stage.barrier(timer)
+        if broadcast_seconds:
+            stage.charge_comm(broadcast_seconds)
+
+    def leaf_totals(self, node: int) -> tuple[float, float]:
+        return self._node_totals[node]
+
+    def end_layer(self) -> None:
+        if self.runner.lanes is not None:
+            # One tree layer finished: bounded staleness syncs the
+            # deferred barrier lanes every S + 1 layers.
+            self.runner.lanes.layer_boundary(self.clock)
+        # Roll the per-layer speed jitter regardless of staleness so
+        # sync and async runs draw from the same factor stream.
+        self.clock.next_layer()
 
     def update_scores(self, tree_index: int, grown: RegressionTree) -> None:
         deltas = [
@@ -429,21 +389,14 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
     # helpers
     # ------------------------------------------------------------------
 
-    def _build_node_histograms(
-        self,
-        indexes: list[NodeInstanceIndex],
-        grads: list[np.ndarray],
-        hesses: list[np.ndarray],
-        node: int,
-        timer,
-    ) -> list[np.ndarray]:
+    def _build_node_histograms(self, node: int, timer) -> list[np.ndarray]:
         """One node's local histograms, feature-major flat, per worker."""
         flats = []
         for wid, shard in enumerate(self.shards):
             self._site("histogram_build", wid, timer)
-            rows = indexes[wid].rows_of(node)
+            rows = self.indexes[wid].rows_of(node)
             histogram, seconds = self.build_strategy.build(
-                shard, rows, grads[wid], hesses[wid]
+                shard, rows, self._grads[wid], self._hesses[wid]
             )
             timer.add(wid, seconds)
             flats.append(histogram.to_flat_feature_major())
@@ -452,14 +405,7 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
             self.build_strategy.release(histogram)
         return flats
 
-    def _build_node_slabs(
-        self,
-        indexes: list[NodeInstanceIndex],
-        grads: list[np.ndarray],
-        hesses: list[np.ndarray],
-        node: int,
-        timer,
-    ) -> list[tuple[int, SparseSlab]]:
+    def _build_node_slabs(self, node: int, timer) -> list[tuple[int, SparseSlab]]:
         """One node's sparse slabs, per block in worker-id order.
 
         Each block builds only its stripe's histogram and ships only the
@@ -471,8 +417,8 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
         grid_rows, grid_cols = self.grid
         slabs: list[tuple[int, SparseSlab]] = []
         for r in range(grid_rows):
-            rows = indexes[r].rows_of(node)
-            grad, hess = grads[r], hesses[r]
+            rows = self.indexes[r].rows_of(node)
+            grad, hess = self._grads[r], self._hesses[r]
             sum_g = float(grad[rows].sum())
             sum_h = float(hess[rows].sum())
             for c in range(grid_cols):
@@ -510,13 +456,6 @@ class DistributedGBDT:
         system: One of ``BACKEND_NAMES`` ("dimboost", "xgboost", ...).
         cluster: Cluster shape and network constants.
         config: GBDT hyper-parameters.
-        sparse_build: Override the backend's histogram-build mode (the
-            paper's baselines scan densely; DimBoost uses Algorithm 2).
-        use_index: Node-to-instance index on workers (ablation hook).
-        batched_build: Parallel batch construction with the simulated
-            span accounting (Section 5.2).
-        distributed_sketch: Back-compat alias for
-            ``sketch_mode="distributed"``.
         sketch_mode: How CREATE_SKETCH proposes candidates.  ``"exact"``
             (default) computes exact global quantiles in the driver and
             charges modelled sketch bytes — it keeps the cross-system
@@ -526,8 +465,10 @@ class DistributedGBDT:
             / PULL_SKETCH path).  ``"weighted"`` does the same with
             hessian/instance-weighted summaries (Huang & Yi), so cut
             points equalize weight mass per bucket.
-        build_strategy: Explicit histogram build strategy; overrides the
-            ``sparse_build`` / ``batched_build`` resolution when given.
+        build_strategy: Explicit histogram build strategy (e.g.
+            ``DenseBuildStrategy()``); defaults to the backend's own build
+            mode (the paper's baselines scan densely, DimBoost uses
+            Algorithm 2) on ``config.parallel_backend``.
         callbacks: Trainer hooks observing every fit (see
             :mod:`repro.runtime.hooks`).
         fault_plan: Optional :class:`~repro.chaos.FaultPlan`; when given,
@@ -538,8 +479,9 @@ class DistributedGBDT:
             (drop/duplicate/server_down) need a PS backend
             ("tencentboost" / "dimboost").
         backend_kwargs: Extra arguments for the backend (e.g. DimBoost's
-            ``two_phase=False`` ablation); validated against the
-            backend's accepted options.
+            ``two_phase=False`` ablation).  A keyword that is neither a
+            trainer argument nor one of the backend's options raises
+            ``TypeError``, like any unexpected keyword argument.
     """
 
     def __init__(
@@ -547,31 +489,28 @@ class DistributedGBDT:
         system: str = "dimboost",
         cluster: ClusterConfig | None = None,
         config: TrainConfig | None = None,
-        sparse_build: bool | None = None,
-        use_index: bool = True,
-        batched_build: bool = False,
-        distributed_sketch: bool = False,
-        sketch_mode: str | None = None,
+        sketch_mode: str = "exact",
         build_strategy: HistogramBuildStrategy | None = None,
         callbacks: Sequence[TrainerCallback] = (),
         fault_plan: FaultPlan | None = None,
         **backend_kwargs,
     ) -> None:
+        unknown = sorted(set(backend_kwargs) - set(backend_options(system)))
+        if unknown:
+            raise TypeError(
+                f"DistributedGBDT() got unexpected keyword argument(s) "
+                f"{', '.join(map(repr, unknown))}; backend {system!r} "
+                f"accepts {backend_options(system) or 'no extra options'}"
+            )
         self.system = system
         self.cluster = cluster if cluster is not None else ClusterConfig()
         self.config = config if config is not None else TrainConfig()
-        self._sparse_build_override = sparse_build
-        self.use_index = use_index
-        self.batched_build = batched_build
-        if sketch_mode is None:
-            sketch_mode = "distributed" if distributed_sketch else "exact"
         if sketch_mode not in ("exact", "distributed", "weighted"):
             raise ConfigError(
                 f"sketch_mode must be 'exact', 'distributed', or "
                 f"'weighted', got {sketch_mode!r}"
             )
         self.sketch_mode = sketch_mode
-        self.distributed_sketch = sketch_mode != "exact"
         self._build_strategy_override = build_strategy
         self.callbacks = list(callbacks)
         self.fault_plan = fault_plan
@@ -837,22 +776,12 @@ class DistributedGBDT:
     def _resolve_build_strategy(
         self, backend: AggregationBackend
     ) -> HistogramBuildStrategy:
-        """The histogram build strategy for this fit.
-
-        Precedence: explicit ``build_strategy`` > the ``sparse_build``
-        override > the backend's own build mode.
-        """
+        """The explicit ``build_strategy``, else the backend's build mode."""
         if self._build_strategy_override is not None:
             return self._build_strategy_override
-        sparse = (
-            backend.build_mode == "sparse"
-            if self._sparse_build_override is None
-            else self._sparse_build_override
-        )
         return resolve_build_strategy(
             self.config,
-            sparse=sparse,
-            batched=self.batched_build,
+            sparse=backend.build_mode == "sparse",
             pool=HistogramBufferPool(),
         )
 

@@ -1,8 +1,7 @@
 """Histogram build strategies: how one node histogram gets constructed.
 
-Replaces the boolean tangle (``sparse_build`` / ``batched_build`` /
-``dense_build`` flags threaded through trainers and backends) with one
-strategy object chosen once per fit:
+One strategy object, chosen once per fit, decides how every node
+histogram gets built:
 
 * :class:`DenseBuildStrategy` — the traditional full scan over all
   ``M * K`` buckets (what the baseline systems do, Section 5.1).
@@ -68,8 +67,6 @@ class HistogramBuildStrategy(ABC):
 
     #: Short identifier used in logs and reprs.
     name: str = "abstract"
-    #: Whether the underlying kernel is the traditional dense scan.
-    dense: bool = False
 
     @abstractmethod
     def build(
@@ -126,7 +123,6 @@ class DenseBuildStrategy(_PooledKernelStrategy):
     """Traditional dense scan over every (feature, bucket) pair."""
 
     name = "dense"
-    dense = True
 
     def build(
         self,
@@ -146,7 +142,6 @@ class SparseBuildStrategy(_PooledKernelStrategy):
     """Algorithm 2: touch only the nonzeros, fold totals into zero bins."""
 
     name = "sparse"
-    dense = False
 
     def build(
         self,
@@ -184,7 +179,7 @@ class BatchedBuildStrategy(HistogramBuildStrategy):
     ) -> None:
         self.batch_size = batch_size
         self.n_threads = n_threads
-        self.dense = not sparse
+        self.sparse = sparse
         self.real_threads = real_threads
         self.kernel = (
             build_node_histogram_sparse if sparse else build_node_histogram_dense
@@ -216,7 +211,7 @@ class BatchedBuildStrategy(HistogramBuildStrategy):
     def __repr__(self) -> str:
         return (
             f"BatchedBuildStrategy(batch_size={self.batch_size}, "
-            f"n_threads={self.n_threads}, sparse={not self.dense}, "
+            f"n_threads={self.n_threads}, sparse={self.sparse}, "
             f"real_threads={self.real_threads})"
         )
 
@@ -256,7 +251,6 @@ class ProcessParallelBuildStrategy(HistogramBuildStrategy):
         self.batch_size = batch_size
         self.n_processes = n_processes
         self.sparse = sparse
-        self.dense = not sparse
         self.pool = pool if pool is not None else HistogramBufferPool()
         self.kernel = (
             build_node_histogram_sparse if sparse else build_node_histogram_dense
@@ -424,15 +418,15 @@ def resolve_build_strategy(
     config: TrainConfig,
     *,
     sparse: bool,
-    batched: bool = False,
     pool: HistogramBufferPool | None = None,
 ) -> HistogramBuildStrategy:
     """Choose the build strategy for a fit.
 
     ``config.parallel_backend`` picks the execution style:
 
-    * ``"simulated"`` (default) — today's serial kernels; ``batched``
-      wraps them in Section 5.2 batch construction with span accounting.
+    * ``"simulated"`` (default) — the serial kernels.  Section 5.2 batch
+      construction with span accounting is an explicit
+      ``BatchedBuildStrategy`` passed as a trainer's ``build_strategy``.
     * ``"threads"`` — batch construction on a real thread pool
       (GIL-capped; charged real wall-clock).
     * ``"process"`` — :class:`ProcessParallelBuildStrategy` on
@@ -443,8 +437,6 @@ def resolve_build_strategy(
         config: Supplies ``batch_size`` / ``n_threads`` / ``n_processes``
             / ``parallel_backend``.
         sparse: Use the Algorithm 2 kernel (else the dense scan).
-        batched: Wrap the kernel in parallel batch construction (only
-            meaningful for the ``"simulated"`` backend).
         pool: Optional buffer pool for strategies that can recycle
             released histograms.
     """
@@ -462,12 +454,6 @@ def resolve_build_strategy(
             n_threads=config.n_threads,
             sparse=sparse,
             real_threads=True,
-        )
-    if batched:
-        return BatchedBuildStrategy(
-            batch_size=config.batch_size,
-            n_threads=config.n_threads,
-            sparse=sparse,
         )
     if sparse:
         return SparseBuildStrategy(pool=pool)

@@ -16,7 +16,8 @@ multiplex freely (each line is independent).  Operations::
 ``op`` defaults to ``"score"`` so the hot path can omit it.  A shed
 request answers ``{"ok": false, "error": "rejected", "reason": ...}``
 — explicit load shedding is part of the wire contract, not an
-exception.
+exception.  A line longer than the stream's 64 KiB line limit answers
+``{"ok": false, "error": "too_large", ...}`` and closes its connection.
 """
 
 from __future__ import annotations
@@ -86,12 +87,20 @@ class ServingServer:
     ) -> None:
         try:
             while not self._shutdown.is_set():
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError as exc:
+                    # The line outgrew the reader's buffer limit; asyncio
+                    # has discarded what it read, so the stream is no
+                    # longer at a line boundary.  Answer, then hang up.
+                    await self._send(
+                        writer,
+                        {"ok": False, "error": "too_large", "detail": str(exc)},
+                    )
+                    break
                 if not line:
                     break
-                response = await self._dispatch(line)
-                writer.write(json.dumps(response).encode("utf-8") + b"\n")
-                await writer.drain()
+                await self._send(writer, await self._dispatch(line))
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -100,6 +109,11 @@ class ServingServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    @staticmethod
+    async def _send(writer: asyncio.StreamWriter, response: dict) -> None:
+        writer.write(json.dumps(response).encode("utf-8") + b"\n")
+        await writer.drain()
 
     async def _dispatch(self, line: bytes) -> dict:
         try:

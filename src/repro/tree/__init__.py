@@ -5,8 +5,9 @@
   feature-range (server-side) forms.
 * :class:`RegressionTree` — heap-layout tree with vectorized prediction.
 * :class:`LayerwiseGrower` — the single-process reference engine growing
-  one tree layer by layer (Section 4.4's layer-wise scheme), shared by
-  the single-machine trainer and reused as each worker's local logic.
+  one tree layer by layer (Section 4.4's layer-wise scheme) through
+  ``grower.grow_layerwise``, the one layer loop the distributed engine
+  runs too.
 """
 
 from .split import SplitDecision, find_best_split, best_split_in_range, leaf_weight

@@ -9,8 +9,9 @@ the cost of less regular (harder to parallelize layer-by-layer) shapes,
 which is exactly why the paper's distributed design sticks to layer-wise
 growth.
 
-Reuses every substrate: binned shards, Algorithm 2 histograms, the
-node-to-instance index, and the Algorithm 1 gain scan.
+Reuses every substrate: binned shards, the fit's histogram build
+strategy, the node-to-instance index and its leaf assignment, and the
+Algorithm 1 gain scan.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ import numpy as np
 from ..config import TrainConfig
 from ..errors import TrainingError
 from ..histogram.binned import BinnedShard
-from ..histogram.builder import build_node_histogram_sparse
 from ..histogram.index import NodeInstanceIndex
+from ..runtime.build import HistogramBuildStrategy, resolve_build_strategy
 from ..sketch.candidates import CandidateSet
-from .grower import GrownTree
+from .grower import GrownTree, leaf_assignment
 from .split import SplitDecision, find_best_split, leaf_weight
 from .tree import RegressionTree
 
@@ -42,6 +43,8 @@ class BestFirstGrower:
         max_leaves: Leaf budget L; growth stops after ``L - 1`` splits.
             Defaults to ``2 ** (max_depth - 1)`` — the layer-wise tree's
             leaf count, making equal-budget comparisons direct.
+        build_strategy: Histogram build strategy; defaults to the
+            Algorithm 2 kernel on ``config.parallel_backend``.
     """
 
     def __init__(
@@ -50,6 +53,7 @@ class BestFirstGrower:
         candidates: CandidateSet,
         config: TrainConfig,
         max_leaves: int | None = None,
+        build_strategy: HistogramBuildStrategy | None = None,
     ) -> None:
         if shard.n_features != candidates.n_features:
             raise TrainingError(
@@ -65,6 +69,11 @@ class BestFirstGrower:
             raise TrainingError(
                 f"max_leaves must be >= 1, got {self.max_leaves}"
             )
+        self.build_strategy = (
+            build_strategy
+            if build_strategy is not None
+            else resolve_build_strategy(config, sparse=True)
+        )
 
     def grow(
         self,
@@ -97,7 +106,9 @@ class BestFirstGrower:
             rows = index.rows_of(node)
             if len(rows) < 2 or 2 * node + 2 >= tree.max_nodes:
                 return
-            histogram = build_node_histogram_sparse(shard, rows, grad, hess)
+            histogram, _seconds = self.build_strategy.build(
+                shard, rows, grad, hess
+            )
             n_histograms += 1
             decision = find_best_split(
                 histogram,
@@ -136,13 +147,13 @@ class BestFirstGrower:
             evaluate(left)
             evaluate(right)
 
-        leaf_of_rows = np.zeros(shard.n_rows, dtype=np.int64)
         for node in leaves:
             g, h = node_totals[node]
             tree.set_leaf(
                 node, eta * leaf_weight(g, h, config.reg_lambda), cover=h
             )
-            leaf_of_rows[index.rows_of(node)] = node
         return GrownTree(
-            tree=tree, leaf_of_rows=leaf_of_rows, n_histograms=n_histograms
+            tree=tree,
+            leaf_of_rows=leaf_assignment(tree, index),
+            n_histograms=n_histograms,
         )

@@ -8,6 +8,7 @@ from repro import ClusterConfig, TrainConfig, train_distributed
 from repro.cluster import SimClock
 from repro.distributed import BACKEND_NAMES
 from repro.ps.master import WorkerPhase
+from repro.runtime.build import SparseBuildStrategy
 
 
 class TestSimClockPhases:
@@ -80,8 +81,8 @@ class TestEnginePhases:
     def test_find_split_dominated_by_comm_for_mllib(self, small_dataset):
         """MLlib's bottleneck is FIND_SPLIT (statistics aggregation).
 
-        The dense-build compute is overridden to the sparse path so the
-        comparison isolates the aggregation cost the claim is about.
+        The dense-build compute is replaced by the sparse strategy so
+        the comparison isolates the aggregation cost the claim is about.
         """
         config = TrainConfig(n_trees=2, max_depth=4, n_split_candidates=8)
         result = train_distributed(
@@ -89,6 +90,6 @@ class TestEnginePhases:
             small_dataset,
             ClusterConfig(4, 4),
             config,
-            sparse_build=True,
+            build_strategy=SparseBuildStrategy(),
         )
         assert result.phases["FIND_SPLIT"] == max(result.phases.values())

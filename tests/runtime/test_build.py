@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from repro import TrainConfig
+from repro.histogram.builder import (
+    build_node_histogram_dense,
+    build_node_histogram_sparse,
+)
 from repro.runtime.build import (
     BatchedBuildStrategy,
     DenseBuildStrategy,
@@ -70,17 +74,26 @@ class TestResolution:
         )
 
     def test_resolve_batched_carries_config(self):
-        config = TrainConfig(batch_size=128, n_threads=5)
-        strategy = resolve_build_strategy(config, sparse=False, batched=True)
+        config = TrainConfig(
+            parallel_backend="threads", batch_size=128, n_threads=5
+        )
+        strategy = resolve_build_strategy(config, sparse=False)
         assert isinstance(strategy, BatchedBuildStrategy)
         assert strategy.batch_size == 128
         assert strategy.n_threads == 5
-        assert strategy.dense is True
+        assert strategy.kernel is build_node_histogram_dense
 
-    def test_dense_attribute_mirrors_kernel(self):
-        assert DenseBuildStrategy().dense is True
-        assert SparseBuildStrategy().dense is False
-        assert BatchedBuildStrategy(10, 2, sparse=True).dense is False
+    def test_kernel_choice_is_the_strategy(self):
+        """The strategy itself says which kernel builds: no flag beside it."""
+        assert DenseBuildStrategy().name == "dense"
+        assert SparseBuildStrategy().name == "sparse"
+        assert BatchedBuildStrategy(10, 2).kernel is build_node_histogram_sparse
+        assert (
+            BatchedBuildStrategy(10, 2, sparse=False).kernel
+            is build_node_histogram_dense
+        )
+        for removed in ("dense", "dense_build"):
+            assert not hasattr(DenseBuildStrategy(), removed)
 
     def test_strategies_are_the_abc(self):
         for strategy in (
@@ -116,15 +129,42 @@ class TestEngineIntegration:
         trainer.fit(tiny_dataset)
         assert calls  # the engine routed every build through the strategy
 
+    def test_leaf_wise_builds_through_the_fit_strategy(
+        self, tiny_dataset, monkeypatch
+    ):
+        """GBDT(leaf_wise=True) builds with the strategy the fit resolved
+        from its config, and the fit closes it."""
+        import repro.boosting.gbdt as gbdt_module
+
+        calls = []
+        closed = []
+
+        class Counting(SparseBuildStrategy):
+            def build(self, shard, rows, grad, hess):
+                calls.append(len(rows))
+                return super().build(shard, rows, grad, hess)
+
+            def close(self):
+                closed.append(True)
+
+        monkeypatch.setattr(
+            gbdt_module,
+            "resolve_build_strategy",
+            lambda config, sparse: Counting(),
+        )
+        config = TrainConfig(n_trees=2, max_depth=4, n_split_candidates=8)
+        trainer = gbdt_module.GBDT(config, leaf_wise=True)
+        trainer.fit(tiny_dataset)
+        assert len(calls) == sum(r.n_histograms for r in trainer.history) > 0
+        assert closed == [True]
+
     def test_grower_uses_strategy(self, tiny_shard, tiny_candidates, gradients):
         from repro.tree.grower import LayerwiseGrower
 
         grad, hess = gradients
         config = TrainConfig(n_trees=1, max_depth=3, n_split_candidates=8)
-        dense = LayerwiseGrower(
-            tiny_shard, tiny_candidates, config, sparse_build=False
-        )
-        assert isinstance(dense.build_strategy, DenseBuildStrategy)
+        default = LayerwiseGrower(tiny_shard, tiny_candidates, config)
+        assert isinstance(default.build_strategy, SparseBuildStrategy)
         custom = LayerwiseGrower(
             tiny_shard,
             tiny_candidates,
@@ -167,11 +207,24 @@ class TestBackendResolution:
         assert strategy.real_threads is True
         assert strategy.n_threads == 3
 
-    def test_simulated_batched_keeps_span_accounting(self):
+    def test_simulated_batched_keeps_span_accounting(
+        self, tiny_shard, gradients
+    ):
+        """The simulated backend resolves to the serial kernel; Section
+        5.2's span accounting is an explicit BatchedBuildStrategy, whose
+        charged seconds are the simulated span."""
         config = TrainConfig(parallel_backend="simulated")
-        strategy = resolve_build_strategy(config, sparse=True, batched=True)
-        assert isinstance(strategy, BatchedBuildStrategy)
+        assert isinstance(
+            resolve_build_strategy(config, sparse=True), SparseBuildStrategy
+        )
+        strategy = BatchedBuildStrategy(batch_size=64, n_threads=4)
         assert strategy.real_threads is False
+        grad, hess = gradients
+        _, seconds = strategy.build(
+            tiny_shard, np.arange(tiny_shard.n_rows), grad, hess
+        )
+        assert strategy.last_result is not None
+        assert seconds == strategy.last_result.span_seconds
 
     def test_invalid_backend_and_processes_rejected(self):
         from repro.errors import ConfigError
@@ -189,3 +242,54 @@ class TestBackendResolution:
         )
         strategy.release(histogram)  # no pool: nothing to recycle
         strategy.close()
+
+
+class TestOneBuildKnob:
+    """``build_strategy`` is the only way to pick a build path: the
+    boolean knobs beside it are gone, not aliased."""
+
+    @pytest.mark.parametrize("keyword", ["sparse_build", "use_index"])
+    def test_gbdt_rejects_removed_keywords(self, keyword):
+        from repro.boosting.gbdt import GBDT
+
+        with pytest.raises(TypeError, match=keyword):
+            GBDT(**{keyword: False})
+        assert not hasattr(GBDT(), keyword)
+
+    @pytest.mark.parametrize("keyword", ["sparse_build", "use_index", "batched"])
+    def test_grower_rejects_removed_keywords(
+        self, tiny_shard, tiny_candidates, keyword
+    ):
+        from repro.tree.grower import LayerwiseGrower
+
+        with pytest.raises(TypeError, match=keyword):
+            LayerwiseGrower(
+                tiny_shard, tiny_candidates, TrainConfig(), **{keyword: True}
+            )
+
+    @pytest.mark.parametrize(
+        "keyword",
+        ["sparse_build", "use_index", "batched_build", "distributed_sketch"],
+    )
+    @pytest.mark.parametrize("system", ["dimboost", "mllib"])
+    def test_distributed_rejects_removed_keywords(self, system, keyword):
+        from repro.distributed.engine import DistributedGBDT
+
+        with pytest.raises(TypeError, match=keyword):
+            DistributedGBDT(system, **{keyword: True})
+
+    def test_resolve_rejects_batched(self):
+        with pytest.raises(TypeError, match="batched"):
+            resolve_build_strategy(TrainConfig(), sparse=True, batched=True)
+
+    def test_removed_views_raise_attribute_error(self, tiny_candidates):
+        from repro import ClusterConfig
+        from repro.distributed.backends import make_backend
+
+        backend = make_backend(
+            "xgboost", ClusterConfig(2, 2), TrainConfig(), tiny_candidates
+        )
+        with pytest.raises(AttributeError):
+            backend.dense_build
+        with pytest.raises(AttributeError):
+            DenseBuildStrategy().dense

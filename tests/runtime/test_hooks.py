@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,30 @@ class TestSingleMachineHookSpine:
             assert ("phase_end", "NEW_TREE", t) in events
             assert ("tree_end", t) in events
 
+    def test_gbdt_emits_the_distributed_tree_phases(self, tiny_dataset, config):
+        """Both trainers run the one layer loop, so GBDT.fit emits, per
+        tree, the same NEW_TREE → BUILD_HISTOGRAM → FIND_SPLIT →
+        SPLIT_TREE sequence the distributed spine test asserts."""
+        recorder = RecordingCallback()
+        GBDT(config).fit(tiny_dataset, callbacks=[recorder])
+        for t in range(N_TREES):
+            expected = []
+            for phase in TREE_PHASES:
+                expected += [("phase_start", phase, t), ("phase_end", phase, t)]
+            expected.append(("tree_end", t))
+            observed = [
+                e for e in recorder.events if e[-1] == t and e[0] != "fit_start"
+            ]
+            assert observed == expected
+
+    def test_gbdt_phase_walls_within_fit_wall(self, tiny_dataset, config):
+        walls = _PhaseWalls()
+        started = time.perf_counter()
+        GBDT(config).fit(tiny_dataset, callbacks=[walls])
+        fit_wall = time.perf_counter() - started
+        assert set(walls.by_phase) == set(TREE_PHASES)
+        assert 0.0 < sum(walls.by_phase.values()) <= fit_wall
+
     def test_same_callback_unmodified_on_multiclass(self, tiny_dataset, config):
         from repro.datasets import Dataset
 
@@ -120,6 +146,18 @@ class TestSingleMachineHookSpine:
         assert recorder.events[-1] == ("fit_end",)
         tree_ends = [e for e in recorder.events if e[0] == "tree_end"]
         assert tree_ends == [("tree_end", t) for t in range(N_TREES)]
+
+
+class _PhaseWalls(TrainerCallback):
+    """Sums the wall seconds each phase stage reports at its end."""
+
+    def __init__(self) -> None:
+        self.by_phase: dict[str, float] = {}
+
+    def on_phase_end(self, phase, tree_index, charges, wall_seconds) -> None:
+        self.by_phase[phase.value] = (
+            self.by_phase.get(phase.value, 0.0) + wall_seconds
+        )
 
 
 class _LossTrace(TrainerCallback):

@@ -211,3 +211,46 @@ def test_parallel_scorer_serving_path(artifact_a, model_a):
         rows_to_csr(rows), base_score=model_a.base_score
     )
     assert np.array_equal(np.array([p.raw for p in predictions]), direct)
+
+
+def test_oversized_line_gets_a_typed_reply(artifact_a):
+    """A request line past the stream's 64 KiB line limit is answered
+    with ``too_large`` and its connection closed; the server keeps
+    scoring on fresh connections."""
+    rows = make_rows(1, 3)
+    features = [[int(i), float(v)] for i, v in zip(rows[0][0], rows[0][1])]
+    huge = {"features": [[i % 50, 1.0] for i in range(7000)]}
+
+    async def body():
+        store = ModelStore()
+        store.load(artifact_a)
+        runtime = ServingRuntime(
+            store, ServingConfig(max_batch_rows=8, max_batch_delay_ms=1.0)
+        )
+        server = ServingServer(runtime, host="127.0.0.1", port=0)
+        await server.start()
+        try:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(json.dumps(huge).encode() + b"\n")
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.readline(), timeout=10)
+            after = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            fresh = await roundtrip(reader, writer, {"features": features})
+            writer.close()
+        finally:
+            await server.close()
+            store.close()
+        return reply, after, fresh
+
+    reply, after, fresh = asyncio.run(body())
+    assert len(json.dumps(huge)) > 1 << 16
+    response = json.loads(reply)
+    assert response["ok"] is False and response["error"] == "too_large"
+    assert after == b""  # the server hung up on the oversized connection
+    assert fresh["ok"] and fresh["version"] == 1

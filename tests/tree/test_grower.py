@@ -8,6 +8,7 @@ import pytest
 from repro import TrainConfig
 from repro.errors import TrainingError
 from repro.histogram import BinnedShard
+from repro.runtime.build import BatchedBuildStrategy, DenseBuildStrategy
 from repro.sketch import propose_candidates
 from repro.tree import LayerwiseGrower
 
@@ -71,7 +72,8 @@ class TestGrowth:
 
 
 class TestAblationsAgree:
-    """All builder/index configurations grow equally good trees.
+    """All build-strategy/subtraction configurations grow equally good
+    trees.
 
     The configurations sum gradients in different orders, so near-tied
     gains in tiny deep nodes may resolve differently; what must hold is
@@ -93,10 +95,10 @@ class TestAblationsAgree:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"sparse_build": False},
-            {"use_index": False},
-            {"batched": True},
-            {"sparse_build": False, "use_index": False},
+            {"build_strategy": DenseBuildStrategy()},
+            {"subtraction": True},
+            {"build_strategy": BatchedBuildStrategy(batch_size=64, n_threads=4)},
+            {"build_strategy": DenseBuildStrategy(), "subtraction": True},
         ],
     )
     def test_equivalent_tree(self, tiny_shard, tiny_candidates, rng, kwargs):
