@@ -2,9 +2,9 @@
 
 Public surface:
 
-* :func:`lint_paths` / :func:`lint_source` / :func:`lint_sources` — run
-  the rules (``lint_paths`` and ``lint_sources`` build the project graph
-  that powers RP007–RP010; ``lint_source`` is the single-module fast path).
+* :func:`lint_paths` / :func:`lint_sources` / :func:`lint_source` — run
+  the rules over files, in-memory modules, or one module; every run
+  builds the whole-program project graph (RP007–RP010 need it).
 * :class:`Finding`, :class:`LintResult` — results.
 * :class:`Rule`, :func:`register`, :func:`all_rules` — extend the rule set.
 * :class:`Project`, :class:`LintConfig` — the import/call-graph layer.
@@ -26,7 +26,6 @@ from .core import (
     Rule,
     all_rules,
     get_rules,
-    lint_file,
     lint_paths,
     lint_source,
     lint_sources,
@@ -45,7 +44,6 @@ __all__ = [
     "Rule",
     "all_rules",
     "get_rules",
-    "lint_file",
     "lint_paths",
     "lint_source",
     "lint_sources",

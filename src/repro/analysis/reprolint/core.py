@@ -19,8 +19,9 @@ Vocabulary:
   the import-alias table used to resolve dotted call names, and the
   suppression table parsed from ``# reprolint: disable=...`` comments.
 * :class:`Rule` — a registered checker; subclasses implement
-  :meth:`Rule.check` as a generator of findings.
-* :func:`lint_paths` — the runner: walks files, applies rules, applies
+  :meth:`Rule.check` (per module) and/or :meth:`Rule.check_project`.
+* :func:`lint_paths` — the runner: walks files, builds the whole-program
+  :class:`~repro.analysis.reprolint.project.Project`, applies rules and
   suppressions, returns a :class:`LintResult`.
 
 Suppression syntax (both forms take a comma-separated code list or
@@ -52,7 +53,6 @@ __all__ = [
     "Rule",
     "all_rules",
     "get_rules",
-    "lint_file",
     "lint_paths",
     "lint_source",
     "lint_sources",
@@ -118,17 +118,6 @@ class ModuleContext:
                 self._parents[id(child)] = parent
         self.aliases = self._collect_aliases()
         self._inline, self._filewide = self._collect_suppressions()
-
-    @classmethod
-    def from_file(cls, path: Path, root: Path | None = None) -> "ModuleContext":
-        """Parse ``path``; ``rel_path`` is relative to ``root`` if given."""
-        rel = path
-        if root is not None:
-            try:
-                rel = path.relative_to(root)
-            except ValueError:
-                rel = path
-        return cls(path.read_text(encoding="utf-8"), rel.as_posix())
 
     # ------------------------------------------------------------------
     # structure helpers
@@ -263,18 +252,13 @@ class Rule:
     summary: str = ""
     invariant: str = ""
 
-    def check(
-        self, ctx: ModuleContext, project: "Project | None" = None
-    ) -> Iterator[Finding]:
+    def check(self, ctx: ModuleContext, project: "Project") -> Iterator[Finding]:
         """Yield findings for one module (suppressions applied later).
 
-        ``project`` is the whole-program model when the engine ran a
-        full-tree pass, or None for single-module linting — rules that
-        *derive* their seams from the graph fall back to their manual
-        allowlists in that case.
+        ``project`` is the whole-program model every run builds.  The
+        default is no findings, so whole-program rules need not override.
         """
-        raise NotImplementedError
-        yield  # pragma: no cover - generator typing aid
+        return iter(())
 
     def check_project(self, project: "Project") -> Iterator[Finding]:
         """Yield whole-program findings (graph/dataflow rules).
@@ -388,7 +372,7 @@ def _finding_key(finding: Finding) -> tuple[str, int, int, str]:
 def _run_rules(
     contexts: Sequence[ModuleContext],
     checkers: Sequence[Rule],
-    project: "Project | None",
+    project: "Project",
 ) -> list[Finding]:
     """Per-module checks, then whole-program checks, suppressions applied.
 
@@ -408,9 +392,8 @@ def _run_rules(
     for ctx in contexts:
         for rule in checkers:
             findings.extend(absorb(f) for f in rule.check(ctx, project))
-    if project is not None:
-        for rule in checkers:
-            findings.extend(absorb(f) for f in rule.check_project(project))
+    for rule in checkers:
+        findings.extend(absorb(f) for f in rule.check_project(project))
     findings.sort(key=_finding_key)
     return findings
 
@@ -420,12 +403,9 @@ def lint_source(
 ) -> list[Finding]:
     """Lint one module given as text; returns all findings (sorted).
 
-    Single-module mode: no project is built, so graph rules stay silent
-    and seam-derived rules use their manual fallbacks.
+    Shorthand for a one-module :func:`lint_sources` run.
     """
-    ctx = ModuleContext(source, rel_path)
-    checkers = list(rules) if rules is not None else all_rules()
-    return _run_rules([ctx], checkers, None)
+    return lint_sources({rel_path: source}, rules).findings
 
 
 def lint_sources(
@@ -465,18 +445,6 @@ def _parse_error(rel_path: str, exc: SyntaxError) -> Finding:
     )
 
 
-def lint_file(
-    path: Path, root: Path | None = None, rules: Sequence[Rule] | None = None
-) -> list[Finding]:
-    """Lint one file on disk (single-module mode, no project)."""
-    rel = _rel_path(path, root)
-    try:
-        source = path.read_text(encoding="utf-8")
-        return lint_source(source, rel, rules)
-    except SyntaxError as exc:
-        return [_parse_error(rel, exc)]
-
-
 def _rel_path(path: Path, root: Path | None) -> str:
     rel = path
     if root is not None:
@@ -503,7 +471,6 @@ def lint_paths(
     paths: Sequence[str | Path],
     root: str | Path | None = None,
     rules: Sequence[Rule] | None = None,
-    whole_program: bool = True,
 ) -> LintResult:
     """Lint files and directories; the package entry point's engine.
 
@@ -518,10 +485,10 @@ def lint_paths(
         root: Paths in findings are reported relative to this (default:
             the current working directory when paths are relative).
         rules: Rule subset (default: every registered rule).
-        whole_program: Build the cross-module :class:`Project` (import
-            graph, call graph, declared contracts from the nearest
-            ``pyproject.toml``) and run graph rules over it.  False
-            reverts to v1 per-module behavior.
+
+    The parsed modules form one :class:`Project` (import graph, call
+    graph, declared contracts from the nearest ``pyproject.toml``);
+    files that fail to parse are reported as RP000 and left out of it.
     """
     root_path = Path(root) if root is not None else None
     checkers = list(rules) if rules is not None else all_rules()
@@ -541,14 +508,12 @@ def lint_paths(
         except SyntaxError as exc:
             findings.append(_parse_error(rel, exc))
 
-    project: "Project | None" = None
-    if whole_program and contexts:
-        from .project import LintConfig, Project
+    from .project import LintConfig, Project
 
-        anchor = root_path if root_path is not None else (
-            file_list[0] if file_list else Path.cwd()
-        )
-        project = Project(contexts, LintConfig.discover(anchor))
+    anchor = root_path if root_path is not None else (
+        file_list[0] if file_list else Path.cwd()
+    )
+    project = Project(contexts, LintConfig.discover(anchor))
     findings.extend(_run_rules(contexts, checkers, project))
     findings.sort(key=_finding_key)
     return LintResult(findings=findings, files_checked=files_checked)

@@ -1,7 +1,7 @@
 """Whole-program rules (RP007–RP010) over the project graph.
 
-These rules state contracts no single-module pass can check, because
-the evidence spans modules:
+These rules state contracts no per-module check can see, because the
+evidence spans modules:
 
 * RP007 ``blocking-call-in-async`` — nothing reachable from an ``async
   def`` in ``serving/`` may block the event loop: ``time.sleep``,
@@ -37,7 +37,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .core import Finding, ModuleContext, Rule, register
+from .core import Finding, Rule, register
 from .dataflow import analyze_taint
 from .project import CallSite, Project, ProjectFunction
 
@@ -55,12 +55,7 @@ def _in_package(project: Project, fn: ProjectFunction, part: str) -> bool:
 
 
 class ProjectRule(Rule):
-    """A rule that only runs in whole-program mode."""
-
-    def check(
-        self, ctx: ModuleContext, project: "Project | None" = None
-    ) -> Iterator[Finding]:
-        return iter(())
+    """A rule whose findings come from :meth:`Rule.check_project` only."""
 
     def finding_at(
         self, project: Project, fn: ProjectFunction, node: ast.AST, message: str
@@ -214,7 +209,6 @@ class WallClockTaint(ProjectRule):
         {
             "repro.utils.timing.wall_clock",
             "repro.serving.clock.now",
-            "repro.serving.clock.now_ns",
             "time.time",
             "time.time_ns",
             "time.perf_counter",

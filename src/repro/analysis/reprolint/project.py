@@ -22,10 +22,10 @@ with derivation: it parses every module of the linted tree once, builds
 Graph rules (RP007–RP010) and the derived RP002/RP006 seam sets are
 built on these tables; :mod:`dataflow` adds the intraprocedural layer.
 
-The analyzer stays stdlib-only.  The declared layering contract lives in
+The analyzer stays stdlib-only.  The declared contracts live in
 ``pyproject.toml`` under ``[tool.reprolint]`` (see :class:`LintConfig`);
-when no pyproject is found the built-in defaults — which the patrol
-tests pin against the declared ones — apply.
+when no pyproject is found the built-in defaults, which a test pins
+equal to the declared ones, apply.
 """
 
 from __future__ import annotations
@@ -48,13 +48,8 @@ __all__ = [
     "module_name_for",
 ]
 
-#: The RP002 clock seam as declared in pyproject.toml (and mirrored in
-#: the rule's manual fallback whitelist — the patrol test pins both).
-DEFAULT_CLOCK_SEAM: tuple[str, ...] = (
-    "repro/runtime/phases.py",
-    "repro/runtime/build.py",
-    "repro/serving/clock.py",
-)
+#: The RP002 clock seam as declared in pyproject.toml.
+DEFAULT_CLOCK_SEAM: tuple[str, ...] = ("repro/utils/timing.py",)
 
 #: The declared import DAG: package → packages/top-level modules it must
 #: never import.  Kernel packages stay importable without the
@@ -340,6 +335,7 @@ class Project:
         self.functions: dict[str, ProjectFunction] = {}
         self.classes: dict[str, ClassInfo] = {}
         self.imports: dict[str, list[ImportEdge]] = {}
+        self._import_names: dict[str, dict[str, str]] = {}
         self._module_symbols: dict[str, dict[str, str]] = {}
         self._return_types: dict[str, str] = {}
 
@@ -381,22 +377,35 @@ class Project:
         return parts[: len(parts) - drop] if drop else parts
 
     def _collect_imports(self, module: str) -> None:
+        """Import edges and the local-name table, in one walk per module.
+
+        The table maps each imported local name to its absolute dotted
+        target; the first binding in ``ast.walk`` order wins, ``*`` binds
+        nothing, and an empty base maps a name to itself.
+        """
         ctx = self.modules[module]
         edges: list[ImportEdge] = []
-        guarded = self._type_checking_lines(ctx)
-        deferred_lines = self._function_body_lines(ctx)
+        names: dict[str, str] = {}
+
+        def edge(node: ast.stmt, target: str) -> ImportEdge:
+            ancestors = list(ctx.ancestors(node))
+            return ImportEdge(
+                target=target,
+                lineno=node.lineno,
+                col=node.col_offset,
+                type_checking=any(map(_is_type_checking_guard, ancestors)),
+                deferred=any(
+                    isinstance(a, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for a in ancestors
+                ),
+            )
+
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    edges.append(
-                        ImportEdge(
-                            target=alias.name,
-                            lineno=node.lineno,
-                            col=node.col_offset,
-                            type_checking=node.lineno in guarded,
-                            deferred=node.lineno in deferred_lines,
-                        )
-                    )
+                    local = alias.asname or alias.name.split(".")[0]
+                    names.setdefault(local, alias.name)
+                    edges.append(edge(node, alias.name))
             elif isinstance(node, ast.ImportFrom):
                 if node.level:
                     anchor = self._anchor_parts(module, node.level)
@@ -405,53 +414,18 @@ class Project:
                     )
                 else:
                     base = node.module or ""
-                if not base:
-                    continue
                 for alias in node.names:
-                    # `from pkg import sub` imports the submodule, not a
-                    # symbol of pkg/__init__ — edge to the submodule so
-                    # package re-export hubs do not read as cycles.
-                    sub = f"{base}.{alias.name}"
-                    target = sub if self._is_module(sub) else base
-                    edges.append(
-                        ImportEdge(
-                            target=target,
-                            lineno=node.lineno,
-                            col=node.col_offset,
-                            type_checking=node.lineno in guarded,
-                            deferred=node.lineno in deferred_lines,
-                        )
-                    )
+                    sub = f"{base}.{alias.name}" if base else alias.name
+                    if alias.name != "*":
+                        names.setdefault(alias.asname or alias.name, sub)
+                    if base:
+                        # `from pkg import sub` imports the submodule, not
+                        # a symbol of pkg/__init__ — edge to the submodule
+                        # so package re-export hubs do not read as cycles.
+                        target = sub if self._is_module(sub) else base
+                        edges.append(edge(node, target))
         self.imports[module] = edges
-
-    @staticmethod
-    def _function_body_lines(ctx: ModuleContext) -> set[int]:
-        """Lines of import statements that sit inside a function body."""
-        lines: set[int] = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for child in ast.walk(node):
-                    if isinstance(child, (ast.Import, ast.ImportFrom)):
-                        lines.add(child.lineno)
-        return lines
-
-    @staticmethod
-    def _type_checking_lines(ctx: ModuleContext) -> set[int]:
-        lines: set[int] = set()
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.If):
-                continue
-            test = node.test
-            is_guard = (
-                isinstance(test, ast.Name) and test.id == "TYPE_CHECKING"
-            ) or (
-                isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
-            )
-            if is_guard:
-                for child in ast.walk(node):
-                    if isinstance(child, (ast.Import, ast.ImportFrom)):
-                        lines.add(child.lineno)
-        return lines
+        self._import_names[module] = names
 
     # ------------------------------------------------------------------
     # symbols
@@ -523,37 +497,10 @@ class Project:
         symbols = self._module_symbols.get(module, {})
         if name in symbols:
             return symbols[name]
-        ctx = self.modules.get(module)
-        if ctx is None:
-            return None
-        target = self._import_target(ctx, module, name)
+        target = self._import_names.get(module, {}).get(name)
         if target is None:
             return None
         return self._canonicalize(target, seen)
-
-    def _import_target(
-        self, ctx: ModuleContext, module: str, name: str
-    ) -> str | None:
-        """Absolute dotted target of an imported local name, if any."""
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    if local == name:
-                        return alias.name if alias.asname else alias.name
-            elif isinstance(node, ast.ImportFrom):
-                if node.level:
-                    anchor = self._anchor_parts(module, node.level)
-                    base = ".".join(
-                        anchor + ([node.module] if node.module else [])
-                    )
-                else:
-                    base = node.module or ""
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    if local == name and alias.name != "*":
-                        return f"{base}.{alias.name}" if base else alias.name
-        return None
 
     def _canonicalize(
         self, dotted: str, seen: frozenset[tuple[str, str]]
@@ -1036,6 +983,16 @@ def _strongly_connected(graph: Mapping[str, set[str]]) -> list[list[str]]:
                         break
                 result.append(component)
     return result
+
+
+def _is_type_checking_guard(node: ast.AST) -> bool:
+    """Whether ``node`` is an ``if TYPE_CHECKING:`` (or ``typing.``) block."""
+    if not isinstance(node, ast.If):
+        return False
+    test = node.test
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
 
 
 def _dotted_text(expr: ast.expr) -> str | None:

@@ -9,16 +9,12 @@ live in :mod:`repro.analysis.reprolint.graph_rules`):
   level RNG state, stdlib ``random``, and raw OS entropy
   (``uuid.uuid4``, ``os.urandom``, ``secrets.*``) would all break
   bit-identity across runs and backends.
-* RP002 ``wall-clock-outside-seam`` — real-time reads live in the phase
-  accounting seam (``runtime/phases.py`` / ``runtime/build.py``), the
-  serving runtime's timing seam (``serving/clock.py``), or go through
-  :func:`repro.utils.timing.wall_clock`; stray ``time.*`` pairs produce
-  unphased seconds no report can attribute.  Under a whole-program run
-  the seam is *derived*: the seam modules come from the declared
-  ``[tool.reprolint]`` contract and a clock read is also permitted in
-  any function transitively called only from seam modules; the manual
-  module list below survives as the single-module fallback and is
-  patrol-tested against the derivation.
+* RP002 ``wall-clock-outside-seam`` — real-time reads go through
+  :func:`repro.utils.timing.wall_clock` / ``Stopwatch``; stray ``time.*``
+  pairs produce unphased seconds no report can attribute.  The seam
+  modules come from the declared ``[tool.reprolint].clock-seam``
+  contract, and a clock read is also permitted in any function
+  transitively called only from seam modules.
 * RP003 ``shm-lifecycle`` — a class creating ``SharedMemory(create=True)``
   segments must also release them (a method calling both ``close()`` and
   ``unlink()``) and manage lifetime (``__exit__`` or ``__del__``); the
@@ -32,10 +28,9 @@ live in :mod:`repro.analysis.reprolint.graph_rules`):
   aggregation), not a numpy default.
 * RP006 ``ps-seq-token`` — PS push handlers and callers thread the
   per-round ``seq`` idempotency token (the PR 3 recovery contract: a
-  retried delivery must never double-count a histogram).  Under a
-  whole-program run the handler/pusher pairing is derived from the call
-  graph (a pusher is whatever in ``ps/`` reaches a ``handle_push*``
-  handler); the name lists survive as the fallback and the patrol test.
+  retried delivery must never double-count a histogram).  A handler is
+  anything named ``handle_push*``; a pusher is a ``ps/`` function that
+  calls one, found by call name so an untyped receiver still counts.
 """
 
 from __future__ import annotations
@@ -121,9 +116,7 @@ class UnseededRandomness(Rule):
         }
     )
 
-    def check(
-        self, ctx: ModuleContext, project: "Project | None" = None
-    ) -> Iterator[Finding]:
+    def check(self, ctx: ModuleContext, project: "Project") -> Iterator[Finding]:
         for call in _calls(ctx):
             qualname = ctx.qualname(call.func)
             if qualname is None:
@@ -174,13 +167,13 @@ class UnseededRandomness(Rule):
 
 @register
 class WallClockOutsideSeam(Rule):
-    """RP002: real-time reads only inside the phase accounting seam."""
+    """RP002: real-time reads only inside the declared clock seam."""
 
     code = "RP002"
     name = "wall-clock-outside-seam"
     summary = (
         "no time.time/perf_counter/monotonic or datetime.now outside the "
-        "PhaseRunner/PhaseStage seam; use repro.utils.timing.wall_clock"
+        "declared clock seam; use repro.utils.timing.wall_clock"
     )
     invariant = (
         "every measured second is attributable to a phase (PR 1 phase "
@@ -204,45 +197,14 @@ class WallClockOutsideSeam(Rule):
         }
     )
 
-    #: The accounting seam: the only modules allowed to read the clock
-    #: directly.  ``utils/timing.py`` is *not* listed — its primitives
-    #: carry audited inline suppressions instead, so the seam stays
-    #: the two runtime modules the phase accountant owns plus the
-    #: serving runtime's single timing seam (``serving/clock.py``):
-    #: every event-loop deadline, admission stamp, and stage latency of
-    #: the online runtime reads that module, never ``time.*`` directly.
-    #: Single-module fallback only — whole-program runs derive the seam
-    #: from ``[tool.reprolint].clock_seam``; the patrol test asserts the
-    #: two stay equal.
-    _ALLOWED_SUFFIXES = (
-        "repro/runtime/phases.py",
-        "repro/runtime/build.py",
-        "repro/serving/clock.py",
-    )
-
-    @classmethod
-    def seam_suffixes(cls, project: "Project | None") -> tuple[str, ...]:
-        """The seam module suffixes in force for this run.
-
-        Derived from the declared contract when a project is available,
-        the manual fallback otherwise.
-        """
-        if project is not None:
-            return tuple(project.config.clock_seam)
-        return cls._ALLOWED_SUFFIXES
-
-    def check(
-        self, ctx: ModuleContext, project: "Project | None" = None
-    ) -> Iterator[Finding]:
-        if ctx.rel_path.endswith(self.seam_suffixes(project)):
+    def check(self, ctx: ModuleContext, project: "Project") -> Iterator[Finding]:
+        if ctx.rel_path.endswith(project.config.clock_seam):
             return
         for call in _calls(ctx):
             qualname = ctx.qualname(call.func)
-            if qualname in self._CLOCK_CALLS:
-                if project is not None and self._called_only_from_seam(
-                    ctx, call, project
-                ):
-                    continue
+            if qualname in self._CLOCK_CALLS and not self._called_only_from_seam(
+                ctx, call, project
+            ):
                 yield self.finding(
                     ctx,
                     call,
@@ -264,7 +226,7 @@ class WallClockOutsideSeam(Rule):
         fn = project.function_at(ctx.rel_path, call)
         if fn is None:
             return False
-        suffixes = self.seam_suffixes(project)
+        suffixes = project.config.clock_seam
 
         def in_seam(qualname: str) -> bool:
             owner = project.functions.get(qualname)
@@ -302,9 +264,7 @@ class SharedMemoryLifecycle(Rule):
         "histogram/shared.py and inference/parallel.py)"
     )
 
-    def check(
-        self, ctx: ModuleContext, project: "Project | None" = None
-    ) -> Iterator[Finding]:
+    def check(self, ctx: ModuleContext, project: "Project") -> Iterator[Finding]:
         for call in _calls(ctx):
             qualname = ctx.qualname(call.func)
             if qualname is None or not qualname.endswith("SharedMemory"):
@@ -404,9 +364,7 @@ class ForkUnsafePoolState(Rule):
             for target in ctx.aliases.values()
         )
 
-    def check(
-        self, ctx: ModuleContext, project: "Project | None" = None
-    ) -> Iterator[Finding]:
+    def check(self, ctx: ModuleContext, project: "Project") -> Iterator[Finding]:
         if not self._in_scope(ctx):
             return
         for node in ctx.tree.body:
@@ -521,9 +479,7 @@ class ImplicitDtype(Rule):
          "compression"}
     )
 
-    def check(
-        self, ctx: ModuleContext, project: "Project | None" = None
-    ) -> Iterator[Finding]:
+    def check(self, ctx: ModuleContext, project: "Project") -> Iterator[Finding]:
         parts = set(ctx.path_parts)
         if "repro" not in parts or not (parts & self._KERNEL_PACKAGES):
             return
@@ -560,65 +516,32 @@ class PSSequenceToken(Rule):
         "faulted runs stay bit-identical to fault-free runs)"
     )
 
-    #: Server-side handlers that must accept *and read* ``seq``.
-    #: Single-module fallback only — whole-program runs derive both sets
-    #: from the call graph (:meth:`derive_seams`); the patrol test
-    #: asserts derivation and fallback agree on ``src/``.
-    _HANDLER_NAMES = (
-        "handle_push",
-        "handle_push_slab",
-        "handle_push_sketch",
-        "handle_push_window",
-    )
-    #: Client-side pushers that must accept ``seq`` to forward it.
-    _PUSHER_NAMES = (
-        "push_row",
-        "push_slab",
-        "push_sketch",
-        "push_window",
-        "push_window_rows",
-    )
+    #: Name prefix of the server-side handlers that must accept *and
+    #: read* ``seq``.
+    _HANDLER_PREFIX = "handle_push"
 
-    @classmethod
-    def derive_seams(
-        cls, project: "Project"
-    ) -> tuple[frozenset[str], frozenset[str]]:
-        """(handler names, pusher names) computed from the call graph.
+    def _pusher_names(self, project: "Project") -> frozenset[str]:
+        """Names of the ``ps/`` functions that call a ``handle_push*``.
 
-        A *handler* is any ``ps/`` function named ``handle_push*``.  A
-        *pusher* is any other ``ps/`` function that calls a handler —
-        the client half of the idempotency pairing, found by following
-        the edges instead of maintaining a name list.
+        These are the client half of the idempotency pairing: they must
+        accept ``seq`` to forward it.  Matching the call's name rather
+        than its resolved target keeps an untyped receiver
+        (``self.server.handle_push(...)``) in scope.
         """
-        handlers: set[str] = set()
-        handler_quals: set[str] = set()
-        for fn in project.functions_in_package("ps"):
-            if fn.name.startswith("handle_push"):
-                handlers.add(fn.name)
-                handler_quals.add(fn.qualname)
-        pushers: set[str] = set()
-        for fn in project.functions_in_package("ps"):
-            if fn.name.startswith("handle_push"):
-                continue
-            if project.callees_of(fn.qualname) & handler_quals:
-                pushers.add(fn.name)
-        return frozenset(handlers), frozenset(pushers)
+        return frozenset(
+            fn.name
+            for fn in project.functions_in_package("ps")
+            if any(
+                site.tail.startswith(self._HANDLER_PREFIX) for site in fn.callsites
+            )
+        )
 
-    def _seams(
-        self, project: "Project | None"
-    ) -> tuple[frozenset[str], frozenset[str]]:
-        if project is not None:
-            return self.derive_seams(project)
-        return frozenset(self._HANDLER_NAMES), frozenset(self._PUSHER_NAMES)
-
-    def check(
-        self, ctx: ModuleContext, project: "Project | None" = None
-    ) -> Iterator[Finding]:
-        handlers, pushers = self._seams(project)
+    def check(self, ctx: ModuleContext, project: "Project") -> Iterator[Finding]:
+        pushers = self._pusher_names(project)
         in_ps = "ps" in ctx.path_parts
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.FunctionDef) and in_ps:
-                if node.name in handlers:
+                if node.name.startswith(self._HANDLER_PREFIX):
                     yield from self._check_handler_def(ctx, node)
                 elif node.name in pushers:
                     yield from self._check_pusher_def(ctx, node)
@@ -626,7 +549,10 @@ class PSSequenceToken(Rule):
                 func = node.func
                 if (
                     isinstance(func, ast.Attribute)
-                    and func.attr in (handlers | pushers)
+                    and (
+                        func.attr.startswith(self._HANDLER_PREFIX)
+                        or func.attr in pushers
+                    )
                     and not _has_keyword(node, "seq")
                     and not _has_star_kwargs(node)
                 ):

@@ -29,7 +29,6 @@ resolve a strategy themselves close it when the fit ends.
 from __future__ import annotations
 
 import multiprocessing
-import time
 import warnings
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
@@ -51,6 +50,7 @@ from ..histogram.parallel import (
     simulate_span,
 )
 from ..histogram.shared import SharedShard, build_into_slot
+from ..utils.timing import wall_clock
 
 __all__ = [
     "HistogramBuildStrategy",
@@ -131,11 +131,11 @@ class DenseBuildStrategy(_PooledKernelStrategy):
         grad: np.ndarray,
         hess: np.ndarray,
     ) -> tuple[GradientHistogram, float]:
-        started = time.perf_counter()
+        started = wall_clock()
         histogram = build_node_histogram_dense(
             shard, rows, grad, hess, out=self._out(shard)
         )
-        return histogram, time.perf_counter() - started
+        return histogram, wall_clock() - started
 
 
 class SparseBuildStrategy(_PooledKernelStrategy):
@@ -150,11 +150,11 @@ class SparseBuildStrategy(_PooledKernelStrategy):
         grad: np.ndarray,
         hess: np.ndarray,
     ) -> tuple[GradientHistogram, float]:
-        started = time.perf_counter()
+        started = wall_clock()
         histogram = build_node_histogram_sparse(
             shard, rows, grad, hess, out=self._out(shard)
         )
-        return histogram, time.perf_counter() - started
+        return histogram, wall_clock() - started
 
 
 class BatchedBuildStrategy(HistogramBuildStrategy):
@@ -289,7 +289,7 @@ class ProcessParallelBuildStrategy(HistogramBuildStrategy):
         self._refresh_gradients(entry, grad, hess)
         shared: SharedShard = entry[1]
         chunks = np.array_split(rows, n_tasks)
-        started = time.perf_counter()
+        started = wall_clock()
         try:
             futures = [
                 executor.submit(
@@ -302,7 +302,7 @@ class ProcessParallelBuildStrategy(HistogramBuildStrategy):
             self._disable("process pool broke")
             return self._sequential(shard, rows, grad, hess)
         histogram = shared.reduce(n_tasks, self.pool)
-        wall = time.perf_counter() - started
+        wall = wall_clock() - started
         self.last_result = ParallelBuildResult(
             histogram=histogram,
             n_batches=n_tasks,
@@ -321,10 +321,10 @@ class ProcessParallelBuildStrategy(HistogramBuildStrategy):
         grad: np.ndarray,
         hess: np.ndarray,
     ) -> tuple[GradientHistogram, float]:
-        started = time.perf_counter()
+        started = wall_clock()
         out = self.pool.acquire(shard.n_features, shard.n_bins)
         histogram = self.kernel(shard, rows, grad, hess, out=out)
-        return histogram, time.perf_counter() - started
+        return histogram, wall_clock() - started
 
     # ------------------------------------------------------------------
     # resources

@@ -1,28 +1,18 @@
-"""The serving runtime's single timing seam (RP002-whitelisted).
+"""The serving runtime's instants, read from the one clock seam.
 
 Everything in :mod:`repro.serving` that needs an instant — admission
 stamps, micro-batch flush deadlines, per-request SLO deadlines, stage
-latencies — reads *this* module, never ``time.*`` directly.  The
-whitelist entry in reprolint RP002 covers exactly this file, so the
-rest of the serving runtime stays under the same audited-clock
-invariant as the trainers: a grep for ``clock.now`` / ``wall_clock``
-finds every timing site, and determinism tests can stub one place.
-
-The second stream, :func:`now`, deliberately returns the same monotonic
-seconds as :func:`repro.utils.timing.wall_clock` (both wrap
-``perf_counter``), so serving latencies and training phase seconds are
-directly comparable in reports.  :func:`now_ns` is the high-resolution
-variant for sub-millisecond stage latencies; only this whitelisted seam
-may touch the ``perf_counter_ns`` primitive.
+latencies — reads *this* module, never ``time.*`` directly.  The module
+itself only calls :func:`repro.utils.timing.wall_clock`, the repo's one
+RP002 clock seam, so serving latencies and training phase seconds come
+from the same monotonic stream and are directly comparable in reports.
 """
 
 from __future__ import annotations
 
-import time
-
 from ..utils.timing import wall_clock
 
-__all__ = ["Deadline", "now", "now_ns"]
+__all__ = ["Deadline", "now"]
 
 
 def now() -> float:
@@ -32,11 +22,6 @@ def now() -> float:
     exported here so serving modules have exactly one import to audit.
     """
     return wall_clock()
-
-
-def now_ns() -> int:
-    """Monotonic nanoseconds for sub-millisecond stage latencies."""
-    return time.perf_counter_ns()
 
 
 class Deadline:

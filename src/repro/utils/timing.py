@@ -1,12 +1,11 @@
 """Wall-clock timing helpers used by trainers and benchmarks.
 
-This module is the *audited clock seam*: outside the phase accounting
-modules (``runtime/phases.py`` / ``runtime/build.py``), code must not
-read ``time.*`` directly (reprolint RP002) and instead calls
-:func:`wall_clock` or uses a :class:`Stopwatch`.  Funnelling every real-
-time read through one module keeps measured seconds attributable (a
-grep for ``wall_clock`` finds every timing site) and lets determinism
-tests stub the clock in exactly one place.
+This module is the repo's one *audited clock seam*: everywhere else,
+code must not read ``time.*`` directly (reprolint RP002) and instead
+calls :func:`wall_clock` or uses a :class:`Stopwatch`.  Funnelling every
+real-time read through one module keeps measured seconds attributable
+(a grep for ``wall_clock`` finds every timing site) and lets
+determinism tests stub the clock in exactly one place.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ def wall_clock() -> float:
     Returns the same value stream as ``time.perf_counter()``; only this
     module may call the primitive directly.
     """
-    # The seam primitive itself is the one sanctioned direct clock read.
-    return time.perf_counter()  # reprolint: disable=RP002
+    return time.perf_counter()
 
 
 class Stopwatch:
@@ -41,14 +39,12 @@ class Stopwatch:
         self._started_at: float | None = None
 
     def __enter__(self) -> "Stopwatch":
-        # Seam-internal read: Stopwatch is part of the audited clock seam.
-        self._started_at = time.perf_counter()  # reprolint: disable=RP002
+        self._started_at = time.perf_counter()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         if self._started_at is not None:
-            # Seam-internal read paired with __enter__ above.
-            now = time.perf_counter()  # reprolint: disable=RP002
+            now = time.perf_counter()
             self.total += now - self._started_at
             self._started_at = None
 

@@ -1,8 +1,8 @@
 """Known-bad RP002 serving fixture: a serving module reading the clock.
 
-Serving modules must take instants from :mod:`repro.serving.clock` (the
-package's whitelisted seam) — direct ``time.*`` reads anywhere else in
-``repro/serving/`` are unaudited latency measurements.
+Serving modules must take instants from :mod:`repro.serving.clock` —
+direct ``time.*`` reads in ``repro/serving/`` are unaudited latency
+measurements.
 """
 
 import time

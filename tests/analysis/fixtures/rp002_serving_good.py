@@ -1,8 +1,7 @@
 """Known-good RP002 serving twin: instants come from the serving seam.
 
 Same module shape as the bad fixture, but every instant flows through
-:mod:`repro.serving.clock` — the one serving module whitelisted to read
-``time.*`` directly.
+:mod:`repro.serving.clock`, which reads the repo's one clock seam.
 """
 
 from repro.serving import clock
@@ -17,4 +16,4 @@ def batch_deadline(delay_s: float) -> clock.Deadline:
 
 
 def stamp_ns() -> int:
-    return clock.now_ns()
+    return int(clock.now() * 1e9)

@@ -1,12 +1,11 @@
 """Unit tests for the whole-program layer: Project, dataflow, and the
-seam-derivation patrols.
+declared contracts.
 
 The Project tests use small in-memory module sets so each capability
 (cross-module resolution, re-exports, type inference, cycles) is pinned
-in isolation.  The patrol tests then run the derivations over the real
-``src/`` tree and assert they agree with the manual fallback lists and
-the contract declared in ``pyproject.toml`` — if a seam drifts, exactly
-one of these fails and names the drift.
+in isolation.  The src tests then check the built-in defaults against
+the contract declared in ``pyproject.toml`` and smoke-test the graph
+over the real ``src/`` tree.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.reprolint.core import ModuleContext
+from repro.analysis.reprolint.core import ModuleContext, get_rules, lint_sources
 from repro.analysis.reprolint.dataflow import analyze_taint
 from repro.analysis.reprolint.project import (
     DEFAULT_CLOCK_SEAM,
@@ -25,7 +24,6 @@ from repro.analysis.reprolint.project import (
     Project,
     module_name_for,
 )
-from repro.analysis.reprolint.rules import PSSequenceToken, WallClockOutsideSeam
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
 PYPROJECT = SRC_ROOT.parent / "pyproject.toml"
@@ -53,6 +51,25 @@ def src_project() -> Project:
 def test_module_name_for_strips_init():
     assert module_name_for("repro/ps/group.py") == "repro.ps.group"
     assert module_name_for("repro/ps/__init__.py") == "repro.ps"
+
+
+def test_name_imported_twice_resolves_to_first_walk_occurrence():
+    """The first binding in ``ast.walk`` (breadth-first) order wins:
+    module-level imports before function-body ones, then source order."""
+    project = build(
+        {
+            "repro/a.py": "def f():\n    pass\n",
+            "repro/b.py": "def f():\n    pass\n",
+            "repro/c.py": (
+                "def g():\n"
+                "    from repro.b import f\n"
+                "    return f()\n"
+                "from repro.a import f\n"
+                "from repro.b import f\n"
+            ),
+        }
+    )
+    assert project.resolve_symbol("repro.c", "f") == "repro.a.f"
 
 
 def test_cross_module_call_resolution():
@@ -353,22 +370,35 @@ def test_returns_collect_taint():
 
 
 # ----------------------------------------------------------------------
-# patrol tests: derived seams vs the manual lists vs pyproject
+# RP006: handlers and pushers found by call name
+# ----------------------------------------------------------------------
+
+
+def test_rp006_flags_an_untyped_pusher_without_seq():
+    """A ps/ function reaching a handler through an untyped receiver is
+    still a pusher, whatever its name: it must take ``seq`` to forward."""
+    source = (
+        "class Relay:\n"
+        "    def forward(self, name, row, values):\n"
+        "        self.server.handle_push(name, row, values, seq=self.token)\n"
+    )
+    findings = lint_sources(
+        {"repro/ps/relay.py": source}, rules=get_rules(select=["RP006"])
+    ).findings
+    assert [f.line for f in findings] == [2]
+    assert findings[0].message.startswith("forward() without a seq parameter")
+
+
+# ----------------------------------------------------------------------
+# src tests: declared contracts and the real graph
 # ----------------------------------------------------------------------
 
 
 def test_rp002_seam_derivation_matches_fallback_and_pyproject(src_project):
-    derived = WallClockOutsideSeam.seam_suffixes(src_project)
-    assert derived == WallClockOutsideSeam._ALLOWED_SUFFIXES
-    assert derived == DEFAULT_CLOCK_SEAM
+    """The built-in clock seam is the one pyproject declares."""
     declared = LintConfig.from_pyproject(PYPROJECT)
-    assert tuple(declared.clock_seam) == derived
-
-
-def test_rp006_seam_derivation_matches_fallback(src_project):
-    handlers, pushers = PSSequenceToken.derive_seams(src_project)
-    assert handlers == frozenset(PSSequenceToken._HANDLER_NAMES)
-    assert pushers == frozenset(PSSequenceToken._PUSHER_NAMES)
+    assert declared.clock_seam == DEFAULT_CLOCK_SEAM
+    assert src_project.config.clock_seam == DEFAULT_CLOCK_SEAM
 
 
 def test_layering_contract_matches_pyproject(src_project):

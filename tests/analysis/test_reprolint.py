@@ -3,12 +3,11 @@
 Every rule has a known-bad fixture whose violations are marked inline
 with ``# expect: RPxxx`` comments and a known-good twin that must lint
 clean *under the same pretend path* (so path-scoped rules are genuinely
-in scope, not vacuously silent).  Whole-program rules (RP007–RP010) run
-their fixtures through :func:`lint_sources`, which builds the project
-graph the per-module entry points skip.  The src-tree test then pins
-the repo's own waiver budget: the tree is clean, and the only
-suppressions are the audited ones in the timing seam, the worker-view
-caches, and the shm segment-name generators.
+in scope, not vacuously silent).  Every fixture runs through the one
+lint mode, which builds the project graph over the linted modules.  The
+src-tree test then pins the repo's own waiver budget: the tree is
+clean, and the only suppressions are the audited ones on the
+worker-view caches and the shm segment-name generators.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.analysis.reprolint import (
     JSON_SCHEMA_VERSION,
     all_rules,
     get_rules,
-    lint_file,
     lint_paths,
     lint_source,
     lint_sources,
@@ -31,6 +29,7 @@ from repro.analysis.reprolint import (
     to_json,
 )
 from repro.analysis.reprolint.cli import main
+from repro.analysis.reprolint.project import DEFAULT_CLOCK_SEAM
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
@@ -50,8 +49,7 @@ RULE_PATHS = {
     "RP010": "repro/distributed/fixture.py",
 }
 ALL_CODES = sorted(RULE_PATHS)
-#: Rules that need the whole-program pass (fixtures go through
-#: lint_sources; lint_source leaves them silent by design).
+#: Rules whose findings come from the whole-program pass.
 GRAPH_CODES = frozenset({"RP007", "RP008", "RP009", "RP010"})
 
 
@@ -69,12 +67,8 @@ def expected_lines(source: str, code: str) -> list[int]:
 
 
 def fixture_findings(code: str, source: str):
-    """Lint a fixture the way its rule requires (module vs project)."""
-    path = RULE_PATHS[code]
-    rules = get_rules(select=[code])
-    if code in GRAPH_CODES:
-        return lint_sources({path: source}, rules=rules).findings
-    return lint_source(source, path, rules)
+    """Lint a fixture under its rule's pretend path."""
+    return lint_source(source, RULE_PATHS[code], get_rules(select=[code]))
 
 
 # ----------------------------------------------------------------------
@@ -121,29 +115,17 @@ def test_good_twin_is_clean(code):
     assert fixture_findings(code, source) == []
 
 
-@pytest.mark.parametrize("code", sorted(GRAPH_CODES))
-def test_graph_rules_need_the_project_pass(code):
-    """Single-module lint_source must leave whole-program rules silent,
-    not half-fire on a graph it never built."""
-    source = fixture_source(code, "bad")
-    assert lint_source(source, RULE_PATHS[code], get_rules(select=[code])) == []
-
-
 def test_rp002_seam_modules_are_exempt():
     for source in (
         fixture_source("RP002", "bad"),
         fixture_source("RP002_serving", "bad"),
     ):
-        for seam in (
-            "repro/runtime/phases.py",
-            "repro/runtime/build.py",
-            "repro/serving/clock.py",
-        ):
+        for seam in DEFAULT_CLOCK_SEAM:
             assert lint_source(source, seam, get_rules(select=["RP002"])) == []
 
 
 def test_rp002_patrols_serving_outside_its_clock_seam():
-    """Serving modules other than clock.py stay under the RP002 audit."""
+    """Serving modules stay under the RP002 audit."""
     bad = fixture_source("RP002_serving", "bad")
     expected = expected_lines(bad, "RP002")
     assert expected, "serving bad fixture has no expect markers"
@@ -378,7 +360,7 @@ def test_render_text_summary_lines(tmp_path):
 def test_parse_error_reported_as_rp000(tmp_path):
     bad = tmp_path / "broken.py"
     bad.write_text("def broken(:\n", encoding="utf-8")
-    findings = lint_file(bad, root=tmp_path)
+    findings = lint_paths([bad], root=tmp_path).findings
     assert [f.rule for f in findings] == ["RP000"]
     assert findings[0].name == "parse-error"
     assert not findings[0].suppressed
@@ -402,13 +384,12 @@ def test_src_tree_waiver_budget():
     assert waivers == {
         ("RP001", "repro/histogram/shared.py"),
         ("RP001", "repro/inference/parallel.py"),
-        ("RP002", "repro/utils/timing.py"),
         ("RP004", "repro/histogram/shared.py"),
         ("RP004", "repro/inference/parallel.py"),
     }
-    assert len(result.suppressed) == 7
-    # The serving package's clock seam is config-derived, not waived; it
-    # must not need a single inline waiver.
+    assert len(result.suppressed) == 4
+    # Serving reads its instants through the clock seam; it must not
+    # need a single inline waiver.
     assert not any(f.path.startswith("repro/serving/") for f in result.suppressed)
 
 
