@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--agg-window",
         type=int,
         default=1,
-        help="histogram deltas folded locally into one windowed PS push "
+        help="histogram deltas batched locally into one windowed PS push "
         "(requires --system; 1 = push per node; any value is "
         "bit-identical)",
     )

@@ -79,10 +79,10 @@ class TrainConfig:
         checkpoint_every: Cadence (in completed boosting rounds) of the
             recovery checkpoints a faulted run can roll back to.
         agg_window: Local-aggregation window for distributed histogram
-            pushes: workers fold this many node deltas into one batched
-            PS message before communicating (Horovod's
+            pushes: workers batch this many node deltas into one PS
+            message per server before communicating (Horovod's
             ``LocalGradientAggregationHelper`` applied to histogram
-            slabs).  1 (default) pushes every node delta immediately;
+            deltas).  1 (default) pushes every node delta immediately;
             any value leaves the trained model bit-identical.
         staleness: Bounded-staleness bound ``S`` for layer barriers in
             distributed training: workers may run up to ``S`` tree

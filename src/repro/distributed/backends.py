@@ -28,18 +28,12 @@ from ..cluster.collectives import (
 )
 from ..cluster.costmodel import CostParams, log2_steps
 from ..cluster.simclock import SimClock
-from ..compression.lowprec import (
-    compress_blocked,
-    compress_flat,
-    decompress_blocked,
-    decompress_flat,
-)
 from ..config import ClusterConfig, TrainConfig
 from ..errors import ConfigError, TrainingError
 from ..ps.group import ParameterServerGroup
 from ..ps.localagg import LocalAggregator
 from ..ps.partitioner import Partition
-from ..ps.slab import CompressedSlab, SlabLayout, SparseSlab, compress_slab, slab_from_flat
+from ..ps.slab import SlabLayout, SparseSlab, compress_slab, slab_from_flat
 from ..sketch.candidates import CandidateSet
 from ..tree.split import SplitDecision, best_split_in_range, combine_shard_decisions
 from ..utils.rng import spawn_rng
@@ -324,493 +318,114 @@ class LightGBMBackend(AggregationBackend):
         return decisions
 
 
-def _ps_aggregate_slabs(
-    backend: "AggregationBackend", node: int, slabs, clock: SimClock
-) -> None:
-    """Shared PS slab aggregation: push every block's slab, charge wires.
+class _PSBackend(AggregationBackend):
+    """Histogram aggregation through the parameter servers (Section 4).
 
-    Pushes run in block (worker-id) order so the servers accumulate each
-    feature's histogram in the same addend order as the dense row-sharded
-    pushes — the bit-identity contract.  The batched scatter is charged
-    with the *actual* average slab bytes, so sparsity directly shrinks
-    the transfer term of the cost model.
+    Every worker pushes its node delta to the ``p`` shards of one
+    :class:`~repro.ps.group.ParameterServerGroup`: a dense row on a
+    row-sharded cluster (:meth:`aggregate_node`), a sparse slab per
+    block on a feature-striped grid (:meth:`aggregate_node_slabs`).
+    Pushes run in worker (block) order so the servers accumulate each
+    feature's histogram in the same addend order on every layout — the
+    bit-identity contract.  The batched scatter is charged with the
+    *actual* average wire bytes, so sparsity and compression directly
+    shrink the transfer term of the cost model.
 
-    Backends exposing ``compression_bits`` (DimBoost) also quantize each
-    slab's value payload: the rng is spawned per ``(tree, node, block)``
-    — the same spawn key a rollback-replay re-derives — and compression
-    happens once per slab before the partition fan-out, so retries,
-    duplicates, and replays all move the identical packed payload.
-    """
-    if not slabs:
-        raise TrainingError(f"node {node}: no slabs to aggregate")
-    bits = getattr(backend, "compression_bits", 0)
-    block_size = getattr(backend, "compression_block", None)
-    total_bytes = 0
-    for block_id, slab in slabs:
-        rng = (
-            spawn_rng(
-                backend.config.seed, "lowprec", backend._tree_index, node, block_id
-            )
-            if bits
-            else None
-        )
-        stats = backend.group.push_slab(
-            "grad_hist",
-            node,
-            slab,
-            compression_bits=bits,
-            rng=rng,
-            compression_block=block_size,
-            seq=(backend._tree_index, block_id),
-            worker=block_id,
-        )
-        total_bytes += stats.bytes_up
-    clock.advance_comm(
-        general_ps_push_time(
-            len(slabs),
-            backend.cluster.n_servers,
-            total_bytes / len(slabs),
-            backend.cost,
-            backend.cluster.colocated,
-        ),
-        phase="FIND_SPLIT",
-    )
+    Low-precision pushes (``compression_bits > 0``) keep one contract:
 
+    * **One dither stream per delta.** :meth:`_codec_rng` spawns the
+      stochastic-rounding rng per ``(tree, node, worker)`` — the key a
+      rollback-replay re-derives, so retries, duplicates and replays
+      move the identical payload.  A dense row consumes it across its
+      partition slices in partition order
+      (:meth:`~repro.ps.group.ParameterServerGroup.encode_row`); a slab
+      is encoded once before the partition fan-out (``compress_slab``).
+    * **Zero-bucket unfold.** Algorithm 2 folds the exact gradient sums
+      into every feature's zero bucket, O(N) mass that would set the
+      fixed-point scale ``|c|`` and drown every other bucket in noise.
+      Dense rows are therefore pushed *pre-fold* plus the two exact
+      sums (8 bytes), and the node totals (``_node_sums``) are refolded
+      at split time.  Slabs unfold inside ``compress_slab`` and refold
+      exactly on decode, so their servers store folded histograms.
 
-class _PieceWindowBuffer:
-    """Window buffer of pre-encoded dense row pieces for one worker.
+    With ``agg_window > 1`` each worker buffers its encoded deltas in a
+    :class:`~repro.ps.localagg.LocalAggregator` and the cluster
+    communicates once per aggregation window — the Horovod
+    ``LocalGradientAggregationHelper`` pattern applied to histograms.
+    One windowed push per worker carries its window under the sequence
+    token ``(tree, window_index, worker)``.  All buffers fill in
+    lockstep (every node contributes one delta per worker), so a full
+    window flushes the whole cluster together and is charged as one
+    batched PS scatter: the latency term shrinks by the window size
+    while the volume terms keep the payload mass.  Uncompressed dense
+    rows travel as *fully present* slabs (every feature carries its
+    exact values, so the closed-form reconstruction never fires) and
+    compressed ones as their encoded partition pieces
+    (:meth:`~repro.ps.group.ParameterServerGroup.push_window_rows`);
+    either way windowing changes only the delivery, never the stored
+    bits.
 
-    The dense lossy codec is partition-scoped (``push_row`` quantizes
-    each partition slice in partition order), so compressed dense deltas
-    are encoded *at buffer time* with their canonical rng streams and
-    windowing only batches their delivery.  Mirrors the
-    :class:`~repro.ps.localagg.LocalAggregator` window accounting so the
-    ``(tree, window, worker)`` token sequence is deterministic.
+    ``fabric``: optional ``chaos.FaultyFabric`` the server group routes
+    every message through; pushes carry a ``(tree_index, worker_id)``
+    sequence token so retried or duplicated deliveries never
+    double-count a histogram.
     """
 
-    def __init__(self, window: int) -> None:
-        self.window = window
-        self.pending = 0
-        self.windows_flushed = 0
-        self._pieces: list[tuple[int, int, np.ndarray, int]] = []
-
-    @property
-    def full(self) -> bool:
-        return self.pending >= self.window
-
-    def add(self, pieces: list[tuple[int, int, np.ndarray, int]]) -> bool:
-        """Buffer one delta's pieces; returns whether the window filled."""
-        self._pieces.extend(pieces)
-        self.pending += 1
-        return self.full
-
-    def drain(self) -> tuple[int, list[tuple[int, int, np.ndarray, int]]]:
-        if not self._pieces:
-            return self.windows_flushed, []
-        index = self.windows_flushed
-        self.windows_flushed += 1
-        pieces, self._pieces = self._pieces, []
-        self.pending = 0
-        return index, pieces
-
-    def reset(self) -> None:
-        self._pieces = []
-        self.pending = 0
-        self.windows_flushed = 0
-
-
-class _WindowedPushMixin:
-    """Local histogram aggregation for PS backends (``agg_window > 1``).
-
-    Instead of pushing every node delta as it is built, each worker
-    folds deltas into its :class:`~repro.ps.localagg.LocalAggregator`
-    and the cluster communicates once per aggregation window — the
-    Horovod ``LocalGradientAggregationHelper`` pattern applied to
-    histogram slabs.  Dense per-worker flats are wrapped in *fully
-    present* slabs (every feature carries its exact values) so the
-    closed-form header reconstruction never fires for them and the
-    stored bits match the dense push exactly; the 2-D grid path buffers
-    the engine's sparse slabs as-is.
-
-    One windowed push per worker carries that worker's folded entries,
-    encoded once (PR 7 codec) before the partition fan-out, under the
-    sequence token ``(tree, window_index, worker)``.  All aggregators
-    fill in lockstep (every node contributes one delta per worker), so
-    a full window flushes the whole cluster together and is charged as
-    one batched PS scatter — the latency term shrinks by the window
-    size while the volume terms keep the folded payload mass.
-
-    The one path that cannot fold-then-encode is the compressed *dense*
-    push: its codec quantizes per partition slice with a rounding
-    stream consumed in partition order, so folding first would change
-    the stored bits.  There, each delta is encoded at buffer time
-    exactly as :meth:`~repro.ps.group.ParameterServerGroup.push_row`
-    would encode it and the window batches the pre-encoded pieces
-    (:meth:`~repro.ps.group.ParameterServerGroup.push_window_rows`) —
-    the S=0 bit-identity guarantee holds in every cell of the parity
-    matrix.
-    """
-
-    # Provided by the concrete backend / base class.  Backends with a
-    # lossy dense codec (``compression_bits > 0``) additionally provide
-    # ``compression_block``, ``_node_sums``, and ``_unfold_zero_buckets``
-    # — the compressed-dense buffering path mirrors their per-delta
-    # push_row bookkeeping.
-    group: ParameterServerGroup
-    cluster: ClusterConfig
-    config: TrainConfig
-    cost: CostParams
-    n_bins: int
-    n_features: int
-    _tree_index: int
-    _node_sums: dict[int, tuple[float, float]]
-
-    supports_windowed_push: bool = True
-
-    def _init_windowing(self, layout: SlabLayout) -> None:
-        self._layout = layout
-        windowed = self.config.agg_window > 1
-        self._aggregators: list[LocalAggregator] = (
-            [
-                LocalAggregator(self.config.agg_window, layout)
-                for _ in range(self.cluster.n_workers)
-            ]
-            if windowed
-            else []
-        )
-        self._piece_buffers: list[_PieceWindowBuffer] = (
-            [
-                _PieceWindowBuffer(self.config.agg_window)
-                for _ in range(self.cluster.n_workers)
-            ]
-            if windowed
-            else []
-        )
-        self._all_features = np.arange(self.n_features, dtype=np.int64)
-
-    @property
-    def windowed(self) -> bool:
-        """Whether local aggregation is active (``agg_window > 1``)."""
-        return bool(self._aggregators)
-
-    def begin_tree(self, tree_index: int) -> None:
-        super().begin_tree(tree_index)  # type: ignore[misc]
-        # Rewind window counters so a chaos rollback-replay regenerates
-        # the identical (tree, window, worker) token sequence.
-        for aggregator in self._aggregators:
-            aggregator.reset()
-        for buffer in self._piece_buffers:
-            buffer.reset()
-
-    def _buffer_node_flats(
-        self, node: int, local_flats: list[np.ndarray], clock: SimClock
-    ) -> None:
-        if getattr(self, "compression_bits", 0):
-            self._buffer_compressed_flats(node, local_flats, clock)
-            return
-        for aggregator, flat in zip(self._aggregators, local_flats):
-            slab = slab_from_flat(
-                flat,
-                self._all_features,
-                0,
-                self.n_features,
-                self.n_bins,
-                float(flat[: self.n_bins].sum()),
-                float(flat[self.n_bins : 2 * self.n_bins].sum()),
-            )
-            aggregator.add(node, slab)
-        self._maybe_flush_windows(clock)
-
-    def _buffer_compressed_flats(
-        self, node: int, local_flats: list[np.ndarray], clock: SimClock
-    ) -> None:
-        """Buffer compressed dense deltas as pre-encoded pieces.
-
-        Each delta is unfolded and quantized exactly as the per-node
-        ``push_row`` path does — same rng spawn key, same partition
-        slices, same rounding-stream consumption order — so the batched
-        window stores bit-identical floats.  The exact node sums are
-        recorded for the split-time refold, matching the unwindowed
-        bookkeeping.
-        """
-        bits = self.compression_bits
-        block = self.compression_block
-        partitioner = self.group.partitioner("grad_hist")
-        total_g = 0.0
-        total_h = 0.0
-        for worker_id, flat in enumerate(local_flats):
-            rng = spawn_rng(
-                self.config.seed, "lowprec", self._tree_index, node, worker_id
-            )
-            unfolded, sum_g, sum_h = self._unfold_zero_buckets(flat)
-            total_g += sum_g
-            total_h += sum_h
-            pieces: list[tuple[int, int, np.ndarray, int]] = []
-            for part in partitioner.partitions:
-                piece = unfolded[part.lo : part.hi]
-                if block:
-                    blocked = compress_blocked(piece, block, bits, rng)
-                    piece_bytes = blocked.wire_bytes
-                    piece = decompress_blocked(blocked)
-                else:
-                    compressed = compress_flat(piece, bits, rng)
-                    piece_bytes = compressed.wire_bytes
-                    piece = decompress_flat(compressed)
-                pieces.append((node, part.partition_id, piece, piece_bytes))
-            self._piece_buffers[worker_id].add(pieces)
-        self._node_sums[node] = (total_g, total_h)
-        self._maybe_flush_windows(clock)
-
-    def _buffer_node_slabs(
-        self, node: int, slabs: list[tuple[int, SparseSlab]], clock: SimClock
-    ) -> None:
-        for block_id, slab in slabs:
-            self._aggregators[block_id].add(node, slab)
-        self._maybe_flush_windows(clock)
-
-    def _maybe_flush_windows(self, clock: SimClock) -> None:
-        if self._aggregators and (
-            self._aggregators[0].full or self._piece_buffers[0].full
-        ):
-            self._flush_windows(clock)
-
-    def _flush_windows(self, clock: SimClock) -> None:
-        """Push every worker's buffered window and charge one scatter.
-
-        Called when the lockstep windows fill, and with partial buffers
-        from :meth:`find_splits` — a layer boundary drains stragglers so
-        a window never spans layers (split finding needs every delta).
-        """
-        bits = getattr(self, "compression_bits", 0)
-        block_size = getattr(self, "compression_block", None)
-        pushed: list[int] = []
-        for worker_id, buffer in enumerate(self._piece_buffers):
-            if buffer.pending == 0:
-                continue
-            n_deltas = buffer.pending
-            window_index, pieces = buffer.drain()
-            stats = self.group.push_window_rows(
-                "grad_hist",
-                pieces,
-                seq=(self._tree_index, window_index, worker_id),
-                worker=worker_id,
-            )
-            # The 8 bytes per delta ship the exact node sums, matching
-            # the per-delta compressed push accounting.
-            pushed.append(stats.bytes_up + 8 * n_deltas)
-        for worker_id, aggregator in enumerate(self._aggregators):
-            if aggregator.pending == 0:
-                continue
-            window_index, entries = aggregator.drain()
-            wire_entries: list[tuple[int, SparseSlab | CompressedSlab]] = []
-            for node, slab in entries:
-                if bits:
-                    rng = spawn_rng(
-                        self.config.seed,
-                        "lowprec",
-                        self._tree_index,
-                        node,
-                        worker_id,
-                    )
-                    wire_entries.append(
-                        (
-                            node,
-                            compress_slab(
-                                slab, self._layout, bits, rng, block_size
-                            ),
-                        )
-                    )
-                else:
-                    wire_entries.append((node, slab))
-            stats = self.group.push_window(
-                "grad_hist",
-                wire_entries,
-                seq=(self._tree_index, window_index, worker_id),
-                worker=worker_id,
-            )
-            pushed.append(stats.bytes_up)
-        if pushed:
-            clock.advance_comm(
-                general_ps_push_time(
-                    len(pushed),
-                    self.cluster.n_servers,
-                    sum(pushed) / len(pushed),
-                    self.cost,
-                    self.cluster.colocated,
-                ),
-                phase="FIND_SPLIT",
-            )
-
-
-class TencentBoostBackend(_WindowedPushMixin, AggregationBackend):
-    """Parameter server without DimBoost's FIND_SPLIT optimizations.
-
-    TencentBoost "simply applies the parameter server architecture to
-    GBDT" (Section 8): histograms are pushed to servers (efficient
-    aggregation), but one leader worker pulls every node's *full* merged
-    histogram back and finds all splits itself — no scheduler, no
-    two-phase split, no compression.
-
-    ``fabric`` (both PS backends): optional ``chaos.FaultyFabric`` the
-    server group routes every message through; pushes then carry a
-    ``(tree_index, worker_id)`` sequence token so retried or duplicated
-    deliveries never double-count a histogram.
-    """
-
-    name = "tencentboost"
-    build_mode = "dense"
+    #: Fixed-point width of pushed histograms (0 disables the codec).
+    compression_bits: int = 0
+    #: Values per codec scale (None: one scale per partition slice).
+    compression_block: int | None = None
     supports_slab_push = True
+    supports_windowed_push = True
 
     def __init__(self, cluster, config, candidates, fabric=None) -> None:
         super().__init__(cluster, config, candidates)
         self.group = ParameterServerGroup(cluster.n_servers, fabric=fabric)
-        layout = SlabLayout(self.n_features, self.n_bins, candidates.zero_bins)
+        self._layout = SlabLayout(
+            self.n_features, self.n_bins, candidates.zero_bins
+        )
         self.group.register(
             "grad_hist",
             self.flat_len,
             align=2 * self.n_bins,
-            layout=layout,
+            layout=self._layout,
         )
-        self._init_windowing(layout)
-
-    def aggregate_node(self, node, local_flats, clock) -> None:
-        if self.windowed:
-            self._buffer_node_flats(node, local_flats, clock)
-            return
-        for worker_id, flat in enumerate(local_flats):
-            self.group.push_row(
-                "grad_hist",
-                node,
-                flat,
-                seq=(self._tree_index, worker_id),
-                worker=worker_id,
-            )
-        clock.advance_comm(
-            general_ps_push_time(
-                len(local_flats),
-                self.cluster.n_servers,
-                self.flat_bytes,
-                self.cost,
-                self.cluster.colocated,
-            ),
-            phase="FIND_SPLIT",
+        self._windows: list[LocalAggregator] = (
+            [LocalAggregator(config.agg_window) for _ in range(cluster.n_workers)]
+            if config.agg_window > 1
+            else []
         )
-
-    def aggregate_node_slabs(self, node, slabs, clock) -> None:
-        if self.windowed:
-            self._buffer_node_slabs(node, slabs, clock)
-            return
-        _ps_aggregate_slabs(self, node, slabs, clock)
-
-    def find_splits(self, nodes, feature_valid, clock):
-        if self.windowed:
-            self._flush_windows(clock)
-        decisions: dict[int, SplitDecision | None] = {}
-        p = self.cluster.n_servers
-        leader_seconds = 0.0
-        leader = 0  # the paper's "leader worker" pulls and scans everything
-        for node in nodes:
-            flat, _stats = self.group.pull_row("grad_hist", node, worker=leader)
-            # Full-histogram pull serialized at the leader's NIC.
-            clock.advance_comm(
-                p * self.cost.alpha + self.flat_bytes * self.cost.beta,
-                phase="FIND_SPLIT",
-            )
-            started = wall_clock()
-            decisions[node] = self._scan_flat(flat, feature_valid)
-            leader_seconds += wall_clock() - started
-            self.group.clear_row("grad_hist", node)
-        clock.advance_compute(leader_seconds, phase="FIND_SPLIT")
-        self._charge_decision_broadcast(clock, len(nodes))
-        return decisions
-
-
-class DimBoostBackend(_WindowedPushMixin, AggregationBackend):
-    """The full DimBoost FIND_SPLIT pipeline (Sections 6.1-6.3).
-
-    Compression detail: Algorithm 2 accumulates the exact gradient sums
-    ``sum_g, sum_h`` and only folds them into the zero buckets at the
-    end.  Every feature's hessian zero bucket therefore carries O(N)
-    mass while ordinary buckets carry O(N * z / (M * K)) — quantizing
-    the folded histogram would set the fixed-point scale ``|c|`` from
-    the giant zero buckets and drown every other bucket in noise.  So
-    when compression is on, workers push the *pre-fold* histogram (all
-    buckets small, high SNR) plus the two exact sums, and the zero
-    buckets are re-folded from the aggregated node totals at split time.
-    With compression off the folded histogram is pushed directly, which
-    keeps bit-identical parity with the other backends.
-
-    Args:
-        use_scheduler: Round-robin node assignment (True) or the naive
-            single-agent strategy (False) — Table 3's scheduler ablation.
-        two_phase: Server-side split UDF + tiny replies (True) or full
-            histogram pulls by the responsible worker (False).
-        compression_bits: Fixed-point width for pushed histograms
-            (0 disables compression).
-    """
-
-    name = "dimboost"
-    build_mode = "sparse"  # sparsity-aware histogram construction (C3)
-    supports_slab_push = True
-
-    def __init__(
-        self,
-        cluster,
-        config,
-        candidates,
-        use_scheduler: bool = True,
-        two_phase: bool = True,
-        compression_bits: int | None = None,
-        speed_aware_scheduler: bool = False,
-        fabric=None,
-    ) -> None:
-        super().__init__(cluster, config, candidates)
-        self.group = ParameterServerGroup(cluster.n_servers, fabric=fabric)
-        layout = SlabLayout(self.n_features, self.n_bins, candidates.zero_bins)
-        self.group.register(
-            "grad_hist",
-            self.flat_len,
-            align=2 * self.n_bins,
-            layout=layout,
-        )
-        self._init_windowing(layout)
-        self.use_scheduler = use_scheduler
-        self.two_phase = two_phase
-        self.compression_bits = (
-            config.compression_bits if compression_bits is None else compression_bits
-        )
-        # One scale per per-feature g/h histogram by default (Section
-        # 6.1's "the maximal absolute value in the histogram");
-        # config.compression_block overrides the granularity.
-        self.compression_block = (
-            config.compression_block if config.compression_block else self.n_bins
-        )
-        if (2 * self.n_bins) % self.compression_block != 0:
-            raise ConfigError(
-                f"compression_block {self.compression_block} must divide the "
-                f"per-feature histogram width {2 * self.n_bins}"
-            )
-        if not use_scheduler:
-            self.scheduler = SingleAgentScheduler(cluster.n_workers)
-        elif speed_aware_scheduler:
-            speeds = [cluster.speed_of(wid) for wid in range(cluster.n_workers)]
-            self.scheduler = SpeedWeightedScheduler(cluster.n_workers, speeds)
-        else:
-            self.scheduler = RoundRobinScheduler(cluster.n_workers)
-        self._push_bytes: dict[int, list[int]] = {}
+        self._all_features = np.arange(self.n_features, dtype=np.int64)
         # Flat slots of every feature's zero bucket (g and h halves).
-        block = 2 * self.n_bins
         self._zero_slots_g = (
-            np.arange(self.n_features, dtype=np.int64) * block
+            self._all_features * (2 * self.n_bins)
             + candidates.zero_bins.astype(np.int64)
         )
         self._zero_slots_h = self._zero_slots_g + self.n_bins
         #: Aggregated exact (sum_g, sum_h) per node, refolded at split time.
         self._node_sums: dict[int, tuple[float, float]] = {}
 
+    @property
+    def windowed(self) -> bool:
+        """Whether local aggregation is active (``agg_window > 1``)."""
+        return bool(self._windows)
+
     def begin_tree(self, tree_index: int) -> None:
         super().begin_tree(tree_index)
+        # Rewind window counters so a chaos rollback-replay regenerates
+        # the identical (tree, window, worker) token sequence.
+        for window in self._windows:
+            window.reset()
         self._node_sums.clear()
+
+    def _codec_rng(self, node: int, worker_id: int) -> np.random.Generator | None:
+        """The dither stream of one worker's delta for ``node`` (None
+        when the codec is off)."""
+        if not self.compression_bits:
+            return None
+        return spawn_rng(
+            self.config.seed, "lowprec", self._tree_index, node, worker_id
+        )
 
     def _unfold_zero_buckets(self, flat: np.ndarray) -> tuple[np.ndarray, float, float]:
         """Remove the Algorithm 2 zero-bucket fold from a local histogram.
@@ -839,65 +454,236 @@ class DimBoostBackend(_WindowedPushMixin, AggregationBackend):
         return folded
 
     def aggregate_node(self, node, local_flats, clock) -> None:
-        if self.windowed:
-            # Buffer the *folded* flats: the windowed wire path is slabs,
-            # where compress_slab itself unfolds the zero-bucket mass
-            # before encoding (and refolds it exactly on decode), so the
-            # servers store folded histograms and no _node_sums refold
-            # entry is needed at split time.
-            self._buffer_node_flats(node, local_flats, clock)
-            return
-        pushed: list[int] = []
-        total_g = 0.0
-        total_h = 0.0
+        bits = self.compression_bits
+        total_g = total_h = 0.0
+        pushed = []
         for worker_id, flat in enumerate(local_flats):
-            if self.compression_bits:
-                rng = spawn_rng(
-                    self.config.seed, "lowprec", self._tree_index, node, worker_id
-                )
+            if bits:
+                # Push the pre-fold histogram; the exact node totals are
+                # refolded at split time, windowed or not.
                 flat, sum_g, sum_h = self._unfold_zero_buckets(flat)
                 total_g += sum_g
                 total_h += sum_h
-            else:
-                rng = None
+            if self.windowed:
+                self._windows[worker_id].add(
+                    node, self._window_row(node, worker_id, flat)
+                )
+                continue
             stats = self.group.push_row(
                 "grad_hist",
                 node,
                 flat,
-                compression_bits=self.compression_bits,
-                rng=rng,
+                compression_bits=bits,
+                rng=self._codec_rng(node, worker_id),
                 compression_block=self.compression_block,
                 seq=(self._tree_index, worker_id),
                 worker=worker_id,
             )
-            pushed.append(stats.bytes_up + (8 if self.compression_bits else 0))
-        if self.compression_bits:
+            # A compressed row ships the 8 bytes of exact node sums too.
+            pushed.append(stats.bytes_up + (8 if bits else 0))
+        if bits:
             self._node_sums[node] = (total_g, total_h)
-        # Charge the batched PS scatter with the *actual* wire bytes, so
-        # compression directly shrinks the transfer term.
-        avg_bytes = sum(pushed) / len(pushed)
+        self._after_push(pushed, clock)
+
+    def _window_row(self, node: int, worker_id: int, flat: np.ndarray):
+        """One dense delta as a window payload: its encoded partition
+        pieces under compression, else a fully present slab."""
+        if self.compression_bits:
+            return list(
+                self.group.encode_row(
+                    "grad_hist",
+                    flat,
+                    self.compression_bits,
+                    self._codec_rng(node, worker_id),
+                    self.compression_block,
+                )
+            )
+        return slab_from_flat(
+            flat,
+            self._all_features,
+            0,
+            self.n_features,
+            self.n_bins,
+            float(flat[: self.n_bins].sum()),
+            float(flat[self.n_bins : 2 * self.n_bins].sum()),
+        )
+
+    def aggregate_node_slabs(self, node, slabs, clock) -> None:
+        if not slabs:
+            raise TrainingError(f"node {node}: no slabs to aggregate")
+        pushed = []
+        for block_id, slab in slabs:
+            rng = self._codec_rng(node, block_id)
+            if self.windowed:
+                if rng is not None:
+                    slab = compress_slab(
+                        slab,
+                        self._layout,
+                        self.compression_bits,
+                        rng,
+                        self.compression_block,
+                    )
+                self._windows[block_id].add(node, slab)
+                continue
+            stats = self.group.push_slab(
+                "grad_hist",
+                node,
+                slab,
+                compression_bits=self.compression_bits,
+                rng=rng,
+                compression_block=self.compression_block,
+                seq=(self._tree_index, block_id),
+                worker=block_id,
+            )
+            pushed.append(stats.bytes_up)
+        self._after_push(pushed, clock)
+
+    def _after_push(self, pushed: list[int], clock: SimClock) -> None:
+        """Charge the node's pushes as one batched scatter or, when
+        windowed, flush the windows once they fill."""
+        if not self.windowed:
+            self._charge_push(pushed, clock)
+        elif self._windows[0].full:
+            self._flush_windows(clock)
+
+    def _flush_windows(self, clock: SimClock) -> None:
+        """Push every worker's buffered window and charge one scatter.
+
+        Called when the lockstep windows fill, and with partial buffers
+        from ``find_splits`` — a layer boundary drains stragglers so a
+        window never spans layers (split finding needs every delta).
+        """
+        pushed: list[int] = []
+        for worker_id, window in enumerate(self._windows):
+            n_deltas = window.pending
+            if n_deltas == 0:
+                continue
+            window_index, entries = window.drain()
+            seq = (self._tree_index, window_index, worker_id)
+            if isinstance(entries[0][1], list):  # encoded dense rows
+                pieces = [
+                    (node, part.partition_id, values, wire_bytes)
+                    for node, encoded in entries
+                    for part, values, wire_bytes in encoded
+                ]
+                stats = self.group.push_window_rows(
+                    "grad_hist", pieces, seq=seq, worker=worker_id
+                )
+                # Each compressed row also ships its 8 bytes of node sums.
+                pushed.append(stats.bytes_up + 8 * n_deltas)
+            else:
+                stats = self.group.push_window(
+                    "grad_hist", entries, seq=seq, worker=worker_id
+                )
+                pushed.append(stats.bytes_up)
+        if pushed:
+            self._charge_push(pushed, clock)
+
+    def _charge_push(self, pushed: list[int], clock: SimClock) -> None:
+        """Charge one batched PS scatter of the workers' ``pushed`` bytes."""
         clock.advance_comm(
             general_ps_push_time(
-                len(local_flats),
+                len(pushed),
                 self.cluster.n_servers,
-                avg_bytes,
+                sum(pushed) / len(pushed),
                 self.cost,
                 self.cluster.colocated,
             ),
             phase="FIND_SPLIT",
         )
-        self._push_bytes[node] = pushed
 
-    def aggregate_node_slabs(self, node, slabs, clock) -> None:
-        # With compression on, each slab's value payload is quantized
-        # once before the partition fan-out (see _ps_aggregate_slabs);
-        # the exact header sums still reconstruct absent features with
-        # no quantization at all, and the servers store the *folded*
-        # histogram directly, so no _node_sums refold entry is needed.
-        if self.windowed:
-            self._buffer_node_slabs(node, slabs, clock)
-            return
-        _ps_aggregate_slabs(self, node, slabs, clock)
+
+class TencentBoostBackend(_PSBackend):
+    """Parameter server without DimBoost's FIND_SPLIT optimizations.
+
+    TencentBoost "simply applies the parameter server architecture to
+    GBDT" (Section 8): histograms are pushed to servers (efficient
+    aggregation), but one leader worker pulls every node's *full* merged
+    histogram back and finds all splits itself — no scheduler, no
+    two-phase split, no compression.
+    """
+
+    name = "tencentboost"
+    build_mode = "dense"
+
+    def find_splits(self, nodes, feature_valid, clock):
+        self._flush_windows(clock)
+        decisions: dict[int, SplitDecision | None] = {}
+        p = self.cluster.n_servers
+        leader_seconds = 0.0
+        leader = 0  # the paper's "leader worker" pulls and scans everything
+        for node in nodes:
+            flat, _stats = self.group.pull_row("grad_hist", node, worker=leader)
+            # Full-histogram pull serialized at the leader's NIC.
+            clock.advance_comm(
+                p * self.cost.alpha + self.flat_bytes * self.cost.beta,
+                phase="FIND_SPLIT",
+            )
+            started = wall_clock()
+            decisions[node] = self._scan_flat(flat, feature_valid)
+            leader_seconds += wall_clock() - started
+            self.group.clear_row("grad_hist", node)
+        clock.advance_compute(leader_seconds, phase="FIND_SPLIT")
+        self._charge_decision_broadcast(clock, len(nodes))
+        return decisions
+
+
+class DimBoostBackend(_PSBackend):
+    """The full DimBoost FIND_SPLIT pipeline (Sections 6.1-6.3).
+
+    Pushes ride the low-precision codec of Section 6.1 when
+    ``compression_bits > 0`` (the zero-bucket unfold and the per-delta
+    dither stream are :class:`_PSBackend`'s contract); with compression
+    off the folded histogram is pushed directly, which keeps
+    bit-identical parity with the other backends.
+
+    Args:
+        use_scheduler: Round-robin node assignment (True) or the naive
+            single-agent strategy (False) — Table 3's scheduler ablation.
+        two_phase: Server-side split UDF + tiny replies (True) or full
+            histogram pulls by the responsible worker (False).
+        compression_bits: Fixed-point width for pushed histograms
+            (0 disables compression).
+    """
+
+    name = "dimboost"
+    build_mode = "sparse"  # sparsity-aware histogram construction (C3)
+
+    def __init__(
+        self,
+        cluster,
+        config,
+        candidates,
+        use_scheduler: bool = True,
+        two_phase: bool = True,
+        compression_bits: int | None = None,
+        speed_aware_scheduler: bool = False,
+        fabric=None,
+    ) -> None:
+        super().__init__(cluster, config, candidates, fabric=fabric)
+        self.use_scheduler = use_scheduler
+        self.two_phase = two_phase
+        self.compression_bits = (
+            config.compression_bits if compression_bits is None else compression_bits
+        )
+        # One scale per per-feature g/h histogram by default (Section
+        # 6.1's "the maximal absolute value in the histogram");
+        # config.compression_block overrides the granularity.
+        self.compression_block = (
+            config.compression_block if config.compression_block else self.n_bins
+        )
+        if (2 * self.n_bins) % self.compression_block != 0:
+            raise ConfigError(
+                f"compression_block {self.compression_block} must divide the "
+                f"per-feature histogram width {2 * self.n_bins}"
+            )
+        if not use_scheduler:
+            self.scheduler = SingleAgentScheduler(cluster.n_workers)
+        elif speed_aware_scheduler:
+            speeds = [cluster.speed_of(wid) for wid in range(cluster.n_workers)]
+            self.scheduler = SpeedWeightedScheduler(cluster.n_workers, speeds)
+        else:
+            self.scheduler = RoundRobinScheduler(cluster.n_workers)
 
     def _make_udf(self, feature_valid: np.ndarray | None, node: int):
         """Server-side split UDF over one stored feature range of ``node``."""
@@ -925,10 +711,9 @@ class DimBoostBackend(_WindowedPushMixin, AggregationBackend):
         return udf
 
     def find_splits(self, nodes, feature_valid, clock):
-        if self.windowed:
-            # Drain partial windows: a layer boundary must see every
-            # delta, so windows never span layers.
-            self._flush_windows(clock)
+        # Drain partial windows: a layer boundary must see every delta,
+        # so windows never span layers.
+        self._flush_windows(clock)
         if (
             isinstance(self.scheduler, SpeedWeightedScheduler)
             and clock.jitter is not None
@@ -1004,7 +789,6 @@ class DimBoostBackend(_WindowedPushMixin, AggregationBackend):
             else 0.0,
             phase="FIND_SPLIT",
         )
-        self._push_bytes.clear()
         return decisions
 
 

@@ -622,9 +622,7 @@ class DistributedGBDT:
                     f"sparse slab aggregation; {self.system!r} has none "
                     f"(use a PS backend: tencentboost, dimboost)"
                 )
-        if config.agg_window > 1 and not getattr(
-            backend, "supports_windowed_push", False
-        ):
+        if config.agg_window > 1 and not backend.supports_windowed_push:
             raise ConfigError(
                 f"agg_window {config.agg_window} needs a backend with "
                 f"windowed pushes; {self.system!r} has none "
@@ -680,7 +678,7 @@ class DistributedGBDT:
             def capture() -> tuple:
                 # Raw scores plus the bounded-staleness pending queue: a
                 # rollback must replay from identical score state AND
-                # identical queued deltas (partial windows re-fold from
+                # identical queued deltas (partial windows refill from
                 # scratch, so they need no snapshot of their own).
                 return (
                     [raw.copy() for raw in raws],

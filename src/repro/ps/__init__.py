@@ -23,7 +23,7 @@ This package implements the server side:
   the block's gradient sums.
 """
 
-from .localagg import LocalAggregator, fold_slabs
+from .localagg import LocalAggregator
 from .partitioner import Partition, VectorPartitioner
 from .server import PSServer, PullUDF
 from .group import ParameterServerGroup, TransferStats
@@ -38,7 +38,6 @@ from .slab import (
 
 __all__ = [
     "LocalAggregator",
-    "fold_slabs",
     "Partition",
     "VectorPartitioner",
     "PSServer",

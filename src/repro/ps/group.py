@@ -13,7 +13,7 @@ simulated clock with real wire-byte counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -181,28 +181,15 @@ class ParameterServerGroup:
                 f"push_row to {name!r}: expected {partitioner.length} values, "
                 f"got {flat.shape}"
             )
-        if compression_bits and rng is None:
-            raise PSError("compression requires an rng for stochastic rounding")
         if self.fabric is not None and seq is None:
             raise PSError(
                 "push_row without a seq token while a fault fabric is "
                 "attached: retried pushes would double-count"
             )
         stats = TransferStats()
-        for part in partitioner.partitions:
-            piece = flat[part.lo : part.hi]
-            if compression_bits and compression_block:
-                blocked = compress_blocked(
-                    piece, compression_block, compression_bits, rng
-                )
-                piece_bytes = blocked.wire_bytes
-                piece = decompress_blocked(blocked)
-            elif compression_bits:
-                compressed = compress_flat(piece, compression_bits, rng)
-                piece_bytes = compressed.wire_bytes
-                piece = decompress_flat(compressed)
-            else:
-                piece_bytes = piece.size * 4
+        for part, piece, piece_bytes in self.encode_row(
+            name, flat, compression_bits, rng, compression_block
+        ):
             stats.bytes_up += piece_bytes
             server = self.servers[part.server_id]
 
@@ -220,6 +207,42 @@ class ParameterServerGroup:
             )
             stats.messages += 1
         return stats
+
+    def encode_row(
+        self,
+        name: str,
+        flat: np.ndarray,
+        compression_bits: int = 0,
+        rng: np.random.Generator | None = None,
+        compression_block: int | None = None,
+    ) -> Iterator[tuple[Partition, np.ndarray, int]]:
+        """Split ``flat`` by ranges and run each slice through the codec.
+
+        Yields ``(partition, values, wire_bytes)`` per range in
+        partition order: ``values`` is what the server applies (the
+        decoded floats under compression, else the raw slice) and
+        ``wire_bytes`` what the slice costs on the wire.  The codec is
+        *partition-scoped* — one rounding stream ``rng`` consumed across
+        the slices in partition order — so this is the one place a dense
+        row is encoded: :meth:`push_row` delivers each slice as it is
+        encoded, and windowed pushes buffer them for
+        :meth:`push_window_rows`.  ``compression_block`` follows the
+        :meth:`push_row` contract.
+        """
+        if compression_bits and rng is None:
+            raise PSError("compression requires an rng for stochastic rounding")
+        for part in self.partitioner(name).partitions:
+            piece = flat[part.lo : part.hi]
+            if not compression_bits:
+                yield part, piece, piece.size * 4
+            elif compression_block:
+                blocked = compress_blocked(
+                    piece, compression_block, compression_bits, rng
+                )
+                yield part, decompress_blocked(blocked), blocked.wire_bytes
+            else:
+                encoded = compress_flat(piece, compression_bits, rng)
+                yield part, decompress_flat(encoded), encoded.wire_bytes
 
     def push_slab(
         self,
@@ -303,16 +326,16 @@ class ParameterServerGroup:
     ) -> TransferStats:
         """Push one locally-aggregated window of ``(row, slab)`` deltas.
 
-        The caller has already folded the window's node deltas
+        The caller has already buffered the window's node deltas
         (:class:`repro.ps.localagg.LocalAggregator`) and encoded each
-        folded slab *once* — entries may be :class:`CompressedSlab`
-        (PR 7 codec) or plain :class:`SparseSlab`; this method only
-        routes.  Every server partition receives at most one message
-        carrying its shares of all entries, so a window of ``W`` node
-        deltas costs one latency term per partition instead of ``W``.
-        Each entry's share is billed as 4 bytes of row id plus its slab
-        wire share; entries whose stripe misses a partition are skipped
-        (their own stripes' windows cover those).
+        slab *once* — entries may be :class:`CompressedSlab` or plain
+        :class:`SparseSlab`; this method only routes.  Every server
+        partition receives at most one message carrying its shares of
+        all entries, so a window of ``W`` node deltas costs one latency
+        term per partition instead of ``W``.  Each entry's share is
+        billed as 4 bytes of row id plus its slab wire share; entries
+        whose stripe misses a partition are skipped (their own stripes'
+        windows cover those).
 
         ``seq``/``worker`` follow the :meth:`push_row` contract (seq
         required under a fault fabric), with one extension the windowed
@@ -373,18 +396,16 @@ class ParameterServerGroup:
     ) -> TransferStats:
         """Push one window of pre-encoded dense row pieces.
 
-        The lossy row codec is *partition-scoped* — :meth:`push_row`
-        quantizes each partition slice with a rounding stream consumed
-        in partition order — so a windowed push of compressed dense
-        deltas cannot fold before encoding without changing the stored
-        bits.  Instead the caller encodes every delta exactly as
-        :meth:`push_row` would (same rng, same slices) and hands the
-        decoded pieces here: ``entries`` is a list of ``(row,
-        partition_id, values, wire_bytes)`` tuples.  This method only
-        batches delivery — one message per server carries all of its
-        pieces, applied in entry order, so the stored floats and their
-        addend order match the per-delta pushes bit for bit while the
-        window pays one latency term per server.
+        The lossy row codec is *partition-scoped* — it quantizes each
+        partition slice with a rounding stream consumed in partition
+        order — so the caller encodes every delta with
+        :meth:`encode_row`, exactly as :meth:`push_row` would (same rng,
+        same slices), and hands the decoded pieces here: ``entries`` is
+        a list of ``(row, partition_id, values, wire_bytes)`` tuples.
+        This method only batches delivery — one message per server
+        carries all of its pieces, applied in entry order, so the stored
+        floats and their addend order match the per-delta pushes bit for
+        bit while the window pays one latency term per server.
 
         ``seq``/``worker`` follow the :meth:`push_window` contract: the
         token must identify the window — ``(round, window, worker)`` —

@@ -247,7 +247,7 @@ class PSServer:
         """Apply one locally-aggregated window of slab pushes.
 
         ``entries`` is an ordered batch of ``(row, slab)`` deltas a
-        worker folded across an aggregation window — the whole batch
+        worker buffered across an aggregation window — the whole batch
         travelled as one message, so one call bills one windowed
         payload: 4 bytes of row id plus the slab's wire share per
         entry.  Each entry merges exactly like an individual

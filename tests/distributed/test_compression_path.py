@@ -96,10 +96,19 @@ class TestFoldDeferral:
         backend = make_backend(
             "dimboost", cluster, config, candidates, compression_bits=8
         )
+        pushed = []
+        push_row = backend.group.push_row
+
+        def recording_push_row(*args, **kwargs):
+            stats = push_row(*args, **kwargs)
+            pushed.append(stats.bytes_up + 8)  # plus the exact node sums
+            return stats
+
+        backend.group.push_row = recording_push_row
         backend.begin_tree(0)
         clock = SimClock()
         backend.aggregate_node(0, [f.copy() for f in flats], clock)
-        pushed = backend._push_bytes[0]
+        assert len(pushed) == len(flats)
         # ~1 byte per value + per-feature scales + the 8-byte sums: far
         # below the 4-bytes-per-value uncompressed push.
         assert all(b < backend.flat_bytes / 2 for b in pushed)
